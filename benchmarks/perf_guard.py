@@ -25,7 +25,7 @@ cold-path win cannot mask a warm-path regression or vice versa.
 
 **The stage-accounting rule.**  ``per_stage_s`` entries are wall-clock
 seconds accumulated *in whichever process ran the stage*: every pool
-worker (model-replay jobs, plan prebuilds, tuning sweep points,
+worker (model-replay jobs, tuning sweep points,
 service requests) snapshots the cumulative counters at job entry and
 reports the end-minus-start *delta*, which exactly one merge site
 folds back into the parent (``run_model_jobs`` per job, the sweep
@@ -38,7 +38,7 @@ onto N workers does **not** shrink a stage's seconds — the workers'
 seconds merge back, and stage totals can exceed session wall-clock;
 parallel wins show up in ``benchmarks_total_s`` / ``warm_total_s``
 only.  (2) a stage second belongs to the stage that *ran*, wherever it
-ran — a plan prebuilt by ``prebuild_plans()`` lands in
+ran — a plan built in a model-replay worker lands in
 ``metrics_plan_build_s`` exactly as an inline build would.
 
 Usage (as wired in .github/workflows/ci.yml)::

@@ -41,11 +41,6 @@ from .model_plan import (
     reset_model_plans,
     run_model_jobs,
 )
-from .prebuild import (
-    PREBUILD_WORKERS_ENV,
-    prebuild_plans,
-    prebuild_workers,
-)
 from .replay import ReplayExecutor, replay_kernel
 
 
@@ -60,13 +55,6 @@ def diagnostics() -> dict:
     replays obtained their metrics plane (cached-plan hits, fresh
     builds, kill-switch fallbacks) — a nonzero
     ``metrics_plan_fallback`` means the plan path was bypassed.
-    Within the fresh builds, ``plan_incremental_hits`` counts builds
-    that resumed a still-valid cross-kernel LRU characterization
-    instead of re-exporting the hierarchy (zero under
-    ``REPRO_NO_INCREMENTAL_PLAN``), and ``component_memo_hits`` /
-    ``component_memo_misses`` count lookups of memoized build
-    sub-products (copy-cost tables, line streams, winner maps) shared
-    across builds with matching trace content.
     ``model_plan`` counts the model-granularity layer on top: fused
     ModelPlan sessions replayed vs recorded, per-step sub-plan hits,
     divergences, and how many pool workers merged their deltas back.
@@ -123,7 +111,6 @@ __all__ = [
     "ModelPlanMismatch", "ModelSession", "merge_worker_diagnostics",
     "model_check_requested", "model_plan_enabled", "model_workers",
     "reset_model_plan_counters", "reset_model_plans", "run_model_jobs",
-    "PREBUILD_WORKERS_ENV", "prebuild_plans", "prebuild_workers",
     "ReplayExecutor", "replay_kernel",
     "diagnostics",
 ]

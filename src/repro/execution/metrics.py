@@ -27,29 +27,12 @@ Switches:
   recomputed live on every invocation (counted as ``fallback``);
 * ``REPRO_METRICS_CHECK=1`` — cross-check mode: every cached-plan hit
   *also* rebuilds the plan from the live metrics plane and raises
-  :class:`MetricsPlanMismatch` on any divergence;
-* ``REPRO_NO_INCREMENTAL_PLAN=1`` — kill switch for the incremental
-  build path: every build re-characterizes the cache hierarchy from
-  the live board state instead of resuming from a
-  :class:`PlanBuildCarrier` (results are bit-identical either way —
-  only first-run build latency changes).
+  :class:`MetricsPlanMismatch` on any divergence.
 
-First-run builds are additionally *incremental* and *shared*:
-
-* a :class:`PlanBuildCarrier` (owned by a
-  :class:`~repro.execution.model_plan.ModelSession`) carries the LRU
-  classification state from one step's build to the next, so a model's
-  kernel sequence is characterized as one concatenated line stream —
-  each step is a single fused native call resuming from the previous
-  step's end-state (``plan_incremental_hits`` counts the resumed
-  builds);
-* the expensive state-independent sub-products of :func:`build_plan` —
-  copy-cost tables, line-stream tables, and the input/output
-  last-writer maps — live in a process-wide memo keyed by (trace
-  content digest, cache geometry/config), so repeated invocations of
-  the same kernel shape (ablation re-runs, tuning-sweep variants,
-  service requests) reuse them across board states instead of
-  rebuilding (``component_memo_hits`` / ``component_memo_misses``).
+A first-run build is one straight computation from the live board:
+copy-cost tables and line streams, one native LRU classification pass
+starting from the exported cache ways, the timeline, and the staging
+regions' last-writer maps.
 
 Bit-identity: a plan is only ever applied when the fingerprint —
 covering every input of the metrics plane, including the floating-point
@@ -64,10 +47,8 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import threading
 import time
-from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -84,7 +65,6 @@ from .trace import (
     K_RWAIT,
     K_SUB,
     K_WORD,
-    STAGE_TIMINGS,
     add_stage_time,
 )
 
@@ -95,11 +75,6 @@ METRICS_PLAN_KILL_SWITCH = "REPRO_NO_METRICS_PLAN"
 #: Cross-check mode: set REPRO_METRICS_CHECK=1 to rebuild the plan on
 #: every cache hit and raise MetricsPlanMismatch on divergence.
 METRICS_CHECK_ENV = "REPRO_METRICS_CHECK"
-
-#: Kill switch: set REPRO_NO_INCREMENTAL_PLAN=1 to disable the
-#: resumable cross-kernel classification carrier (every build then
-#: re-exports the LRU state from the live board).
-INCREMENTAL_PLAN_KILL_SWITCH = "REPRO_NO_INCREMENTAL_PLAN"
 
 #: On-disk MetricsPlan schema version.  Persisted next to (but
 #: independent of) the trace in every kernel-store payload: bump it
@@ -118,11 +93,7 @@ METRICS_PLAN_COUNTERS: Dict[str, int] = {
     "metrics_plan_hits": 0,
     "metrics_plan_misses": 0,
     "metrics_plan_fallback": 0,
-    #: Builds that resumed from a PlanBuildCarrier's warm LRU end-state
-    #: instead of re-exporting the cache hierarchy from the board.
-    "plan_incremental_hits": 0,
-    #: build_plan sub-product memo traffic (cost tables, stream tables,
-    #: winner maps — up to three lookups per build).
+    #: Always 0 (no build memo); perfbench/leg.py still reads both keys.
     "component_memo_hits": 0,
     "component_memo_misses": 0,
 }
@@ -144,166 +115,9 @@ def metrics_check_requested() -> bool:
     return os.environ.get(METRICS_CHECK_ENV, "") == "1"
 
 
-def incremental_plan_enabled() -> bool:
-    return os.environ.get(INCREMENTAL_PLAN_KILL_SWITCH, "") != "1"
-
-
 def reset_metrics_plan_counters() -> None:
     for key in METRICS_PLAN_COUNTERS:
         METRICS_PLAN_COUNTERS[key] = 0
-
-
-# -- the component memo -----------------------------------------------------
-#
-# build_plan's expensive sub-products are pure functions of the trace
-# *content* plus a handful of config scalars — never of the board
-# state.  They are memoized process-wide so distinct invocations that
-# share a kernel shape (ablation re-runs on a warmed board, sweep
-# points across flow/permutation variants with identical tilings,
-# repeated service requests) skip straight to classification+timeline.
-# Keys start from a content digest, not object identity, so digests of
-# GC'd traces can never alias a new trace's products.
-
-_COMPONENT_MEMO: "OrderedDict[tuple, tuple]" = OrderedDict()
-_COMPONENT_LOCK = threading.Lock()
-_MAX_COMPONENT_ENTRIES = 64
-_MAX_COMPONENT_BYTES = 192 << 20
-_component_bytes = 0
-
-
-def reset_component_memo() -> None:
-    """Drop all memoized build sub-products (test isolation hook)."""
-    global _component_bytes
-    with _COMPONENT_LOCK:
-        _COMPONENT_MEMO.clear()
-        _component_bytes = 0
-
-
-def _component_get(key):
-    with _COMPONENT_LOCK:
-        entry = _COMPONENT_MEMO.get(key)
-        if entry is not None:
-            _COMPONENT_MEMO.move_to_end(key)
-            METRICS_PLAN_COUNTERS["component_memo_hits"] += 1
-            return entry[0]
-    METRICS_PLAN_COUNTERS["component_memo_misses"] += 1
-    return None
-
-
-def _component_put(key, value, nbytes: int) -> None:
-    global _component_bytes
-    with _COMPONENT_LOCK:
-        if key in _COMPONENT_MEMO:
-            return
-        _COMPONENT_MEMO[key] = (value, nbytes)
-        _component_bytes += nbytes
-        while len(_COMPONENT_MEMO) > _MAX_COMPONENT_ENTRIES or (
-            _component_bytes > _MAX_COMPONENT_BYTES
-            and len(_COMPONENT_MEMO) > 1
-        ):
-            _, (_, dropped) = _COMPONENT_MEMO.popitem(last=False)
-            _component_bytes -= dropped
-
-
-def _trace_component_digest(trace) -> str:
-    """Content digest of every trace field the sub-products read.
-
-    Cached on the trace object as a plain hex string so it rides along
-    in both the pickle state (model/service workers) and the kernel
-    store's codec (warm processes): only the process that first
-    records or synthesizes a trace pays the hash pass.
-    """
-    digest = getattr(trace, "component_digest", None)
-    if digest is None:
-        # The digest only keys the in-process component memo, so a fast
-        # keyed hash beats a cryptographic one; blake2b is the quickest
-        # collision-resistant option in hashlib without SHA extensions.
-        h = hashlib.blake2b(digest_size=16)
-
-        def arr(a) -> None:
-            # Every hashed trace array is 1-D, so dtype char + length
-            # frame the payload unambiguously (str((dtype, shape)) cost
-            # more than the data hash for the typical small array).
-            a = np.ascontiguousarray(a)
-            h.update(a.dtype.char.encode())
-            h.update(a.size.to_bytes(8, "little"))
-            h.update(a)  # buffer protocol: no tobytes copy
-
-        h.update(pickle.dumps((trace.num_events, trace.recv_refs),
-                              protocol=4))
-        for a in (trace.kinds, trace.word_pos, trace.word_offsets,
-                  trace.word_values, trace.flush_pos, trace.flush_bytes,
-                  trace.recv_pos, trace.recv_bytes, trace.staged_is_word,
-                  trace.staged_values, trace.staged_indices,
-                  trace.staged_widths):
-            arr(a)
-        for side, classes in (("send", trace.send_classes),
-                              ("recv", trace.recv_classes)):
-            for tc in classes:
-                h.update(pickle.dumps(
-                    (side, tc.arg, tc.itemsize, bool(tc.accumulate),
-                     tuple(tc.sizes), tuple(tc.strides)), protocol=4))
-                arr(tc.starts)
-                arr(tc.region_offsets)
-                arr(tc.event_pos)
-        digest = h.hexdigest()
-        trace.component_digest = digest
-    return digest
-
-
-# -- the incremental build carrier ------------------------------------------
-
-class PlanBuildCarrier:
-    """Resumable cross-kernel LRU characterization state.
-
-    A :class:`~repro.execution.model_plan.ModelSession` owns one
-    carrier per board: after a step's build, the carrier keeps that
-    build's LRU end-state (native way arrays, or the Python fallback's
-    :class:`OfflineLruSimulator`), so the next step's build resumes
-    from it instead of re-exporting the hierarchy — the model's kernel
-    sequence is classified as one concatenated line stream.
-
-    Validity is checked against the live cache hit/miss counters:
-    every cache access changes them, so counters matching the value
-    recorded at the previous build (plus that plan's deltas, i.e. the
-    state after it was applied) proves the board's LRU state still
-    equals the carrier's.  Any mismatch — a per-tile fallback step, a
-    replayed fused-plan prefix, an interleaved foreign run — silently
-    reseeds from the board, which is always correct.
-    """
-
-    __slots__ = ("board", "_expected", "_ways1", "_ways2", "_sim")
-
-    def __init__(self, board):
-        self.board = board
-        self._expected: Optional[Tuple[int, int, int, int]] = None
-        self._ways1: Optional[np.ndarray] = None
-        self._ways2: Optional[np.ndarray] = None
-        self._sim: Optional[OfflineLruSimulator] = None
-
-    def _live_counts(self) -> Tuple[int, int, int, int]:
-        caches = self.board.caches
-        return (caches.l1.hits, caches.l1.misses,
-                caches.l2.hits, caches.l2.misses)
-
-    def valid(self) -> bool:
-        return (self._expected is not None
-                and self._expected == self._live_counts())
-
-    def _set_expected(self, totals) -> None:
-        live = self._live_counts()
-        self._expected = (live[0] + totals[0], live[1] + totals[1],
-                          live[2] + totals[2], live[3] + totals[3])
-
-    def adopt_native(self, ways1, ways2, totals) -> None:
-        self._ways1, self._ways2 = ways1, ways2
-        self._sim = None
-        self._set_expected(totals)
-
-    def adopt_sim(self, sim, totals) -> None:
-        self._sim = sim
-        self._ways1 = self._ways2 = None
-        self._set_expected(totals)
 
 
 class MetricsPlanMismatch(RuntimeError):
@@ -478,11 +292,10 @@ def obtain_plan(ex, decode_key: Tuple) -> MetricsPlan:
     return plan
 
 
-def _timed_build(ex, carrier: Optional[PlanBuildCarrier] = None
-                 ) -> MetricsPlan:
+def _timed_build(ex) -> MetricsPlan:
     start = time.perf_counter()
     try:
-        return build_plan(ex, carrier)
+        return build_plan(ex)
     finally:
         add_stage_time("metrics_plan_build_s", time.perf_counter() - start)
 
@@ -540,27 +353,20 @@ def apply_plan(ex, plan: MetricsPlan) -> None:
 
 # -- plan construction ------------------------------------------------------
 
-def build_plan(ex, carrier: Optional[PlanBuildCarrier] = None
-               ) -> MetricsPlan:
+def build_plan(ex) -> MetricsPlan:
     """Evaluate the live metrics plane for one invocation into a plan.
 
     Reads board/cache/engine state but mutates nothing — the caller
     applies the result (and may instead diff it against a cached plan).
-    With a ``carrier`` (and the incremental path enabled), the LRU
-    characterization resumes from the carrier's warm end-state when it
-    still matches the board.
     """
     trace = ex.trace
     decoded = ex.plan
     board = ex.board
     plan = MetricsPlan()
-    if carrier is not None and not incremental_plan_enabled():
-        carrier = None
 
-    cost = _cost_tables(ex)
-    stream = _stream_tables(ex, cost)
+    tables = _copy_tables(ex)
     (l1_hits_ev, l1_miss_ev, l2_miss_ev, l1_ways, l2_ways,
-     totals) = _classify_cache(ex, cost.counts, stream, carrier)
+     totals) = _classify_cache(ex, tables)
     plan.l1_ways = l1_ways
     plan.l2_ways = l2_ways
     (plan.l1_hits_d, plan.l1_misses_d,
@@ -575,17 +381,15 @@ def build_plan(ex, carrier: Optional[PlanBuildCarrier] = None
 
     # Final per-event cycles, with the same add chain as the live
     # charge paths (all quantities are exactly-representable sums,
-    # so elementwise evaluation is bit-identical).  The memoized base
-    # tables are never mutated: np.where allocates the working array,
-    # and the timeline gets private copies of the arrays it writes.
+    # so elementwise evaluation is bit-identical).
     kinds = trace.kinds
-    cyc = cost.base_c
+    cyc = tables.base_c
     copy_mask = kinds == K_COPY
-    cyc = np.where(copy_mask, cyc + cost.extra_c, cyc)
+    cyc = np.where(copy_mask, cyc + tables.extra_c, cyc)
     cyc = cyc + penalty
 
-    plan.final_state = _run_timeline(ex, cyc, cost.base_b.copy(),
-                                     cost.base_r.copy(), cost.extra_r)
+    plan.final_state = _run_timeline(ex, cyc, tables.base_b, tables.base_r,
+                                     tables.extra_r)
 
     plan.stats = {
         "dma_transactions": len(trace.flush_pos) + len(trace.recv_pos),
@@ -601,62 +405,77 @@ def build_plan(ex, carrier: Optional[PlanBuildCarrier] = None
     }
 
     (plan.input_word_dest, plan.input_word_values,
-     plan.input_tile_writes, plan.output_writes) = _winner_tables(ex)
+     plan.input_tile_writes) = _input_winners(ex)
+    plan.output_writes = _output_winners(ex)
     return plan
 
 
-class _CostTables:
-    """Memoized state-independent per-event cost tables of one build."""
+class _CopyTables:
+    """Per-event cost tables and absolute line streams of one build.
+
+    ``groups`` holds the per-alignment-group absolute line starts (the
+    Python-fallback chunked classifier consumes them); :meth:`flat`
+    assembles the concatenated per-event descriptor tables the
+    one-call native classifier consumes.
+    """
 
     __slots__ = ("counts", "base_c", "base_b", "base_r", "extra_c",
-                 "extra_r", "group_specs")
+                 "extra_r", "groups", "word_lines")
 
-    def nbytes(self) -> int:
-        total = sum(getattr(self, name).nbytes for name in
-                    ("counts", "base_c", "base_b", "base_r", "extra_c",
-                     "extra_r"))
-        for _, _, sub in self.group_specs:
-            for pos, sel, _ in sub:
-                total += pos.nbytes + sel.nbytes
-        return total
+    def flat(self, trace):
+        M = trace.num_events
+        ev_group = np.full(M, -2, dtype=np.int64)
+        ev_row = np.zeros(M, dtype=np.int64)
+        wp = trace.word_pos
+        ev_group[wp] = -1
+        ev_row[wp] = np.arange(wp.size, dtype=np.int64)
+        grp_off = np.zeros(len(self.groups), dtype=np.int64)
+        grp_width = np.zeros(len(self.groups), dtype=np.int64)
+        src_parts, dst_parts, fd_parts, rel_parts = [], [], [], []
+        row_base = 0
+        off = 0
+        for g, (pos, src_lines, dst_lines, copy_plan) in \
+                enumerate(self.groups):
+            ev_group[pos] = g
+            ev_row[pos] = np.arange(pos.size, dtype=np.int64) + row_base
+            row_base += pos.size
+            from_dst, rel = _fill_columns(copy_plan)
+            grp_off[g] = off
+            grp_width[g] = copy_plan.num_lines
+            off += copy_plan.num_lines
+            src_parts.append(src_lines)
+            dst_parts.append(dst_lines)
+            fd_parts.append(from_dst)
+            rel_parts.append(rel)
+
+        def cat(parts, dtype):
+            if not parts:
+                return np.empty(0, dtype=dtype)
+            return np.ascontiguousarray(
+                np.concatenate(parts).astype(dtype, copy=False))
+
+        return (ev_group, ev_row, grp_off, grp_width,
+                cat(src_parts, np.int64), cat(dst_parts, np.int64),
+                cat(fd_parts, np.uint8), cat(rel_parts, np.int64),
+                np.ascontiguousarray(self.word_lines))
 
 
-def _cost_tables(ex) -> _CostTables:
-    """Per-copy-event base costs (and the alignment-group structure).
+def _copy_tables(ex) -> _CopyTables:
+    """Per-copy-event base costs and absolute line streams.
 
     Every quantity is computed with the same floating-point expressions
     as ``charge_memref_copy`` — per alignment group, via the shared
-    memoized copy plans.  The result depends on descriptor/region
-    *alignments* (addresses mod line size), never on absolute
-    addresses, so the memo key folds the alignments in and the tables
-    are shared across invocations at different layouts.
+    memoized copy plans.
     """
     trace = ex.trace
     board = ex.board
+    timing = board.timing
     line = board.caches.line_size
     style = ex.rt.copy_style
     region_bases = {False: ex.engine.input_region.base,
                     True: ex.engine.output_region.base}
-    align_sig = []
-    for is_recv, classes in ((False, trace.send_classes),
-                             (True, trace.recv_classes)):
-        for tile_class in classes:
-            desc = ex.descriptors[tile_class.arg]
-            align_sig.append((
-                (desc.base_address + desc.offset * tile_class.itemsize)
-                % line,
-                region_bases[is_recv] % line,
-            ))
-    key = ("cost", _trace_component_digest(trace),
-           _timing_sig(board.timing), line, style, ex.rt._call_cost,
-           tuple(align_sig))
-    cached = _component_get(key)
-    if cached is not None:
-        return cached
 
-    timing = board.timing
     M = trace.num_events
-    tables = _CostTables()
     counts = np.zeros(M, dtype=np.int64)
     counts[trace.word_pos] = 1
     base_c = np.zeros(M)
@@ -664,12 +483,12 @@ def _cost_tables(ex) -> _CostTables:
     base_r = np.zeros(M)
     extra_c = np.zeros(M)
     extra_r = np.zeros(M)
-    group_specs = []  # (is_recv, class_id, [(event_pos, sel, plan)])
+    groups = []  # (event_pos, src_lines, dst_lines, plan)
 
     for is_recv, classes in ((False, trace.send_classes),
                              (True, trace.recv_classes)):
         region_base = region_bases[is_recv]
-        for class_id, tile_class in enumerate(classes):
+        for tile_class in classes:
             desc = ex.descriptors[tile_class.arg]
             sizes = tile_class.sizes
             strides = tile_class.strides
@@ -693,7 +512,6 @@ def _cost_tables(ex) -> _CostTables:
             align_key = src_align * line + dst_align
             uniq, inverse = np.unique(align_key, return_inverse=True)
             accumulate = bool(tile_class.accumulate)
-            sub = []
             for g, key_g in enumerate(uniq):
                 sel = np.flatnonzero(inverse == g)
                 copy_plan = plan_for_geometry(
@@ -712,14 +530,14 @@ def _cost_tables(ex) -> _CostTables:
                 if accumulate:
                     extra_c[pos] = c_extra
                     extra_r[pos] = r_extra
-                sub.append((pos, sel, copy_plan))
-            group_specs.append((is_recv, class_id, sub))
-    # Kind-constant charges, prefetched into the memoized base tables
-    # so the per-build timeline prep needn't re-scan ``kinds``.  Event
-    # kinds are disjoint, none of these kinds carries copy charges, and
-    # the cache-penalty term is zero everywhere off copy/word events,
-    # so build_plan's ``base + penalty`` sum reproduces the live charge
-    # paths bit-for-bit (const + 0.0 == const).
+                groups.append((pos, src_start[sel] // line,
+                               dst_start[sel] // line, copy_plan))
+    # Kind-constant charges, prefilled into the base tables so the
+    # timeline needn't re-scan ``kinds``.  Event kinds are disjoint,
+    # none of these kinds carries copy charges, and the cache-penalty
+    # term is zero everywhere off copy/word events, so build_plan's
+    # ``base + penalty`` sum reproduces the live charge paths
+    # bit-for-bit (const + 0.0 == const).
     kinds = trace.kinds
     call_c, call_b = ex.rt._call_cost
     init_cycles = timing.dma_init_s * timing.cpu_freq_hz
@@ -736,113 +554,16 @@ def _cost_tables(ex) -> _CostTables:
     sel = kinds == K_WORD
     base_c[sel] = 2.0
     base_r[sel] = 1.0
+    tables = _CopyTables()
     tables.counts = counts
     tables.base_c = base_c
     tables.base_b = base_b
     tables.base_r = base_r
     tables.extra_c = extra_c
     tables.extra_r = extra_r
-    tables.group_specs = group_specs
-    _component_put(key, tables, tables.nbytes())
-    return tables
-
-
-class _StreamTables:
-    """Memoized absolute line streams of one build (layout-keyed).
-
-    ``groups`` holds the per-alignment-group absolute line starts (the
-    Python-fallback chunked classifier consumes them); ``flat()``
-    lazily assembles the concatenated per-event descriptor tables the
-    one-call native classifier consumes.
-    """
-
-    __slots__ = ("groups", "word_lines", "_flat")
-
-    def __init__(self, groups, word_lines):
-        self.groups = groups
-        self.word_lines = word_lines
-        self._flat = None
-
-    def nbytes(self) -> int:
-        total = self.word_lines.nbytes
-        for pos, src_lines, dst_lines, _ in self.groups:
-            total += pos.nbytes + src_lines.nbytes + dst_lines.nbytes
-        return total
-
-    def flat(self, trace):
-        flat = self._flat
-        if flat is None:
-            M = trace.num_events
-            ev_group = np.full(M, -2, dtype=np.int64)
-            ev_row = np.zeros(M, dtype=np.int64)
-            wp = trace.word_pos
-            ev_group[wp] = -1
-            ev_row[wp] = np.arange(wp.size, dtype=np.int64)
-            grp_off = np.zeros(len(self.groups), dtype=np.int64)
-            grp_width = np.zeros(len(self.groups), dtype=np.int64)
-            src_parts, dst_parts, fd_parts, rel_parts = [], [], [], []
-            row_base = 0
-            off = 0
-            for g, (pos, src_lines, dst_lines, copy_plan) in \
-                    enumerate(self.groups):
-                ev_group[pos] = g
-                ev_row[pos] = np.arange(pos.size, dtype=np.int64) \
-                    + row_base
-                row_base += pos.size
-                from_dst, rel = _fill_columns(copy_plan)
-                grp_off[g] = off
-                grp_width[g] = copy_plan.num_lines
-                off += copy_plan.num_lines
-                src_parts.append(src_lines)
-                dst_parts.append(dst_lines)
-                fd_parts.append(from_dst)
-                rel_parts.append(rel)
-
-            def cat(parts, dtype):
-                if not parts:
-                    return np.empty(0, dtype=dtype)
-                return np.ascontiguousarray(
-                    np.concatenate(parts).astype(dtype, copy=False))
-
-            flat = (ev_group, ev_row, grp_off, grp_width,
-                    cat(src_parts, np.int64), cat(dst_parts, np.int64),
-                    cat(fd_parts, np.uint8), cat(rel_parts, np.int64),
-                    np.ascontiguousarray(self.word_lines))
-            self._flat = flat
-        return flat
-
-
-def _stream_tables(ex, cost: _CostTables) -> _StreamTables:
-    """Absolute per-group line streams for one address layout."""
-    trace = ex.trace
-    board = ex.board
-    line = board.caches.line_size
-    key = ("stream", _trace_component_digest(trace), line,
-           ex.rt.copy_style,
-           tuple((d.base_address, d.offset) for d in ex.descriptors),
-           (ex.engine.input_region.base, ex.engine.output_region.base))
-    cached = _component_get(key)
-    if cached is not None:
-        return cached
-
-    region_bases = {False: ex.engine.input_region.base,
-                    True: ex.engine.output_region.base}
-    groups = []  # (event_pos, src_lines, dst_lines, plan)
-    for is_recv, class_id, sub in cost.group_specs:
-        classes = trace.recv_classes if is_recv else trace.send_classes
-        tile_class = classes[class_id]
-        desc = ex.descriptors[tile_class.arg]
-        itemsize = tile_class.itemsize
-        src_start = (desc.base_address
-                     + (desc.offset + tile_class.starts) * itemsize)
-        dst_start = region_bases[is_recv] + tile_class.region_offsets
-        for pos, sel, copy_plan in sub:
-            groups.append((pos, src_start[sel] // line,
-                           dst_start[sel] // line, copy_plan))
-    word_lines = (ex.engine.input_region.base
-                  + trace.word_offsets) // line
-    tables = _StreamTables(groups, word_lines)
-    _component_put(key, tables, tables.nbytes())
+    tables.groups = groups
+    tables.word_lines = (ex.engine.input_region.base
+                         + trace.word_offsets) // line
     return tables
 
 
@@ -868,18 +589,17 @@ def _fill_columns(copy_plan):
     return cols
 
 
-def _chunked_line_streams(ex, counts, groups):
-    """Yield (e0, e1, boundaries, lines) chunks of the global stream."""
-    from ..soc import _native
+def _chunked_line_streams(ex, tables: _CopyTables):
+    """Yield (e0, e1, boundaries, lines) chunks of the global stream.
 
+    Python-fallback only: the native classifier reads the line streams
+    straight out of :meth:`_CopyTables.flat`.
+    """
     trace = ex.trace
-    line = ex.board.caches.line_size
     M = trace.num_events
     boundaries = np.zeros(M + 1, dtype=np.int64)
-    np.cumsum(counts, out=boundaries[1:])
-    word_lines = (ex.engine.input_region.base
-                  + trace.word_offsets) // line
-    lib = _native.native_lib()
+    np.cumsum(tables.counts, out=boundaries[1:])
+    word_lines = tables.word_lines
 
     chunk_edges = [0]
     while chunk_edges[-1] < M:
@@ -896,7 +616,7 @@ def _chunked_line_streams(ex, counts, groups):
         if w_sel.any():
             lines[boundaries[trace.word_pos[w_sel]] - lo] = \
                 word_lines[w_sel]
-        for pos, src_lines, dst_lines, copy_plan in groups:
+        for pos, src_lines, dst_lines, copy_plan in tables.groups:
             if one_chunk:
                 sub_pos, sub_src, sub_dst = pos, src_lines, dst_lines
             else:
@@ -908,22 +628,6 @@ def _chunked_line_streams(ex, counts, groups):
                 sub_dst = dst_lines[sel]
             if not sub_pos.size:
                 continue
-            if lib is not None:
-                import ctypes
-
-                i64p = ctypes.POINTER(ctypes.c_int64)
-                from_dst, rel = _fill_columns(copy_plan)
-                slots = np.ascontiguousarray(boundaries[sub_pos] - lo)
-                lib.fill_copy_lines(
-                    slots.ctypes.data_as(i64p), slots.size,
-                    np.ascontiguousarray(sub_src).ctypes.data_as(i64p),
-                    np.ascontiguousarray(sub_dst).ctypes.data_as(i64p),
-                    from_dst.ctypes.data_as(
-                        ctypes.POINTER(ctypes.c_uint8)),
-                    rel.ctypes.data_as(i64p), copy_plan.num_lines,
-                    lines.ctypes.data_as(i64p),
-                )
-                continue
             left = sub_src[:, None] + copy_plan.src_rel[None, :]
             right = sub_dst[:, None] + copy_plan.dst_rel[None, :]
             block = np.hstack([left, right]).take(copy_plan.perm, axis=1)
@@ -934,30 +638,11 @@ def _chunked_line_streams(ex, counts, groups):
         yield e0, e1, boundaries, lines
 
 
-def _cache_is_cold(cache) -> bool:
-    """Whether every set is provably empty without walking them.
-
-    Same never-accessed invariant as ``_cache_digest``: zero hits and
-    misses since construction/reset (and no installed mirror) means no
-    line was ever inserted.  Most first-run plan builds start exactly
-    there, so the classify memo can key such states with a constant
-    instead of serializing two all-``-1`` way arrays.
-    """
-    return cache.hits == 0 and cache.misses == 0 \
-        and cache._ways_mirror is None
-
-
-def _classify_cache(ex, counts, stream: _StreamTables,
-                    carrier: Optional[PlanBuildCarrier] = None):
+def _classify_cache(ex, tables: _CopyTables):
     """Classify the whole run's cache traffic without mutating state.
 
     Returns per-event (l1_hits, l1_miss, l2_miss) plus the final LRU
     way arrays and (l1_hits, l1_misses, l2_hits, l2_misses) totals.
-    With a still-valid ``carrier``, classification resumes from the
-    carrier's warm end-state instead of exporting the hierarchy from
-    the board — the resumed state equals the board state by
-    construction (the previous plan was applied unchanged), so results
-    are bit-identical to a scratch build.
     """
     from ..soc import _native  # late bind: tests patch native_lib
 
@@ -973,56 +658,10 @@ def _classify_cache(ex, counts, stream: _StreamTables,
         import ctypes
 
         i64p = ctypes.POINTER(ctypes.c_int64)
-        carried = (carrier is not None and carrier._ways1 is not None
-                   and carrier.valid())
-        if carried:
-            METRICS_PLAN_COUNTERS["plan_incremental_hits"] += 1
-            ways1, ways2 = carrier._ways1, carrier._ways2
-            state_sig = (ways1.tobytes(), ways2.tobytes())
-        elif _cache_is_cold(l1) and _cache_is_cold(l2):
-            # Deferred: the all--1 arrays are only materialized on a
-            # memo miss.  Serializing them into the key would copy and
-            # hash ~l2-size bytes per build for the overwhelmingly
-            # common cold start.
-            ways1 = ways2 = None
-            state_sig = "cold"
-        else:
-            ways1 = _export_ways(l1)
-            ways2 = _export_ways(l2)
-            state_sig = (ways1.tobytes(), ways2.tobytes())
-        # The whole classification is a pure function of the absolute
-        # line streams (captured by the stream-table key fields), the
-        # hierarchy geometry, and the starting LRU contents — so its
-        # result is shared across entries through the component memo.
-        # Repeated replays of one shape re-fingerprint (the board's
-        # counters advanced) and rebuild their plan, but almost always
-        # from the same cold cache state: the expensive native pass
-        # runs once and later builds pay only the timeline.
-        cls_key = (
-            "cls", _trace_component_digest(ex.trace),
-            board.caches.line_size, ex.rt.copy_style,
-            tuple((d.base_address, d.offset) for d in ex.descriptors),
-            (ex.engine.input_region.base, ex.engine.output_region.base),
-            (l1.num_sets, l1.associativity, l1.set_mask),
-            (l2.num_sets, l2.associativity, l2.set_mask),
-            state_sig,
-        )
-        cached = _component_get(cls_key)
-        if cached is not None:
-            # Plans treat the ways/event arrays as read-only, so they
-            # share the memo masters; the carrier mutates its arrays
-            # in place on the next step and gets private copies.
-            (l1_hits, l1_miss, l2_miss, end1, end2, totals) = cached
-            if carrier is not None:
-                carrier.adopt_native(end1.copy(), end2.copy(), totals)
-            return l1_hits, l1_miss, l2_miss, end1, end2, totals
-        if ways1 is None:
-            ways1 = np.full(l1.num_sets * l1.associativity, -1,
-                            dtype=np.int64)
-            ways2 = np.full(l2.num_sets * l2.associativity, -1,
-                            dtype=np.int64)
+        ways1 = _export_ways(l1)
+        ways2 = _export_ways(l2)
         (ev_group, ev_row, grp_off, grp_width, src_rows, dst_rows,
-         from_dst, rel, word_lines) = stream.flat(ex.trace)
+         from_dst, rel, word_lines) = tables.flat(ex.trace)
         lib.lru_copy_event_stream(
             ev_group.ctypes.data_as(i64p), ev_row.ctypes.data_as(i64p),
             M,
@@ -1043,33 +682,13 @@ def _classify_cache(ex, counts, stream: _StreamTables,
         l2_miss_total = int(l2_miss.sum())
         totals = (l1_hit_total, l1_miss_total,
                   l1_miss_total - l2_miss_total, l2_miss_total)
-        # Memo masters are private copies of the end state — the
-        # carrier (and, via adopt, the next step) mutates its arrays
-        # in place, and the plan's arrays travel into the store.
-        end1, end2 = ways1.copy(), ways2.copy()
-        _component_put(
-            cls_key, (l1_hits, l1_miss, l2_miss, end1, end2, totals),
-            l1_hits.nbytes * 3 + end1.nbytes + end2.nbytes)
-        if carrier is not None:
-            # The carrier keeps the (in-place mutated) end-state for
-            # the next step; the plan gets private copies so later
-            # steps cannot corrupt it.
-            carrier.adopt_native(ways1, ways2, totals)
-            return l1_hits, l1_miss, l2_miss, end1, end2, totals
         return l1_hits, l1_miss, l2_miss, ways1, ways2, totals
 
     # Python fallback: the offline stack-distance classifier, with the
     # per-event attribution recovered by bincount over event ids.
-    carried = (carrier is not None and carrier._sim is not None
-               and carrier.valid())
-    if carried:
-        METRICS_PLAN_COUNTERS["plan_incremental_hits"] += 1
-        sim = carrier._sim
-    else:
-        sim = OfflineLruSimulator(board.caches)
-    base = sim.counts_snapshot()
-    for e0, e1, boundaries, lines in \
-            _chunked_line_streams(ex, counts, stream.groups):
+    counts = tables.counts
+    sim = OfflineLruSimulator(board.caches)
+    for e0, e1, boundaries, lines in _chunked_line_streams(ex, tables):
         event_ids = np.repeat(np.arange(e1 - e0), counts[e0:e1])
         l1_hit_mask, l2_hit_mask = sim.process(lines)
         miss_events = event_ids[~l1_hit_mask]
@@ -1081,11 +700,8 @@ def _classify_cache(ex, counts, stream: _StreamTables,
                                       minlength=span)
     ways1 = _ways_from_sim_state(l1, sim._state[l1.name])
     ways2 = _ways_from_sim_state(l2, sim._state[l2.name])
-    now = sim.counts_snapshot()
-    totals = (now[0] - base[0], now[1] - base[1],
-              now[2] - base[2], now[3] - base[3])
-    if carrier is not None:
-        carrier.adopt_sim(sim, totals)
+    c1, c2 = sim._counts[l1.name], sim._counts[l2.name]
+    totals = (c1[0], c1[1], c2[0], c2[1])
     return l1_hits, l1_miss, l2_miss, ways1, ways2, totals
 
 
@@ -1123,38 +739,25 @@ def _run_timeline(ex, cyc, br, rf, rf2) -> np.ndarray:
     M = trace.num_events
 
     # The kind-constant cycle/branch/reference charges are prefilled
-    # into the memoized cost tables (see _cost_tables), so the only
-    # per-build prep left is the synchronization/aux tables — content-
-    # pure as well, hence memoized alongside the other components.
-    # All three arrays are read-only for both timeline backends.
-    flush_cycles = np.ascontiguousarray(decoded.flush_cycles,
-                                        dtype=np.float64)
-    tl_key = ("tl", _trace_component_digest(trace),
-              _timing_sig(timing), bool(ex.double_buffered),
-              flush_cycles.tobytes())
-    cached = _component_get(tl_key)
-    if cached is not None:
-        sync, taux, acaux = cached
-    else:
-        kinds = trace.kinds
-        sync = np.zeros(M, dtype=np.int8)
-        sync[kinds == K_FLUSH] = 1
-        sync[kinds == K_RECV] = 2
-        if ex.double_buffered:
-            sync[kinds == K_RWAIT] = 3
-        taux = np.zeros(M)
-        acaux = np.zeros(M)
-        t_flush = trace.flush_bytes / timing.axi_bytes_per_cycle
-        t_flush = t_flush / timing.accel_freq_hz
-        t_flush = timing.dma_latency_s + t_flush
-        taux[trace.flush_pos] = t_flush
-        acaux[trace.flush_pos] = flush_cycles
-        t_recv = trace.recv_bytes / timing.axi_bytes_per_cycle
-        t_recv = t_recv / timing.accel_freq_hz
-        t_recv = timing.dma_latency_s + t_recv
-        taux[trace.recv_pos] = t_recv
-        _component_put(tl_key, (sync, taux, acaux),
-                       sync.nbytes + taux.nbytes + acaux.nbytes)
+    # into the cost tables (see _copy_tables); only the
+    # synchronization/aux tables are left to prepare here.
+    kinds = trace.kinds
+    sync = np.zeros(M, dtype=np.int8)
+    sync[kinds == K_FLUSH] = 1
+    sync[kinds == K_RECV] = 2
+    if ex.double_buffered:
+        sync[kinds == K_RWAIT] = 3
+    taux = np.zeros(M)
+    acaux = np.zeros(M)
+    t_flush = trace.flush_bytes / timing.axi_bytes_per_cycle
+    t_flush = t_flush / timing.accel_freq_hz
+    t_flush = timing.dma_latency_s + t_flush
+    taux[trace.flush_pos] = t_flush
+    acaux[trace.flush_pos] = decoded.flush_cycles
+    t_recv = trace.recv_bytes / timing.axi_bytes_per_cycle
+    t_recv = t_recv / timing.accel_freq_hz
+    t_recv = timing.dma_latency_s + t_recv
+    taux[trace.recv_pos] = t_recv
 
     f = timing.cpu_freq_hz
     af = timing.accel_freq_hz
@@ -1261,6 +864,13 @@ def _run_timeline(ex, cyc, br, rf, rf2) -> np.ndarray:
 
 
 # -- region-write summaries -------------------------------------------------
+#
+# The staged regions are write-before-read per flush, so their final
+# contents never influence later runs; the winning writes are
+# precomputed (a blocked backward last-writer scan over the staged
+# item stream) so each invocation rebuilds the region with a handful
+# of vectorized writes — for debugging fidelity, exactly matching the
+# per-tile path's end state.
 
 #: Upper bound on the expanded-word budget of one backward block in
 #: the winner scans.  The actual block scales with the region's used
@@ -1271,35 +881,6 @@ def _run_timeline(ex, cyc, br, rf, rf2) -> np.ndarray:
 #: only to discard everything past the covered span.
 _WINNER_BLOCK_WORDS = 1 << 19
 _WINNER_BLOCK_MIN_WORDS = 1 << 12
-
-
-def _winner_tables(ex):
-    """Last-writer index maps of both DMA staging regions (memoized).
-
-    The staged regions are write-before-read per flush, so their final
-    contents never influence later runs; the winning writes are
-    precomputed (a blocked backward last-writer scan over the staged
-    item stream) so each invocation rebuilds the region with a handful
-    of vectorized writes — for debugging fidelity, exactly matching
-    the per-tile path's end state.  Pure trace+region-size data, so
-    memoized across invocations and layouts.
-    """
-    trace = ex.trace
-    key = ("win", _trace_component_digest(trace),
-           ex.engine.input_words.size, ex.engine.output_words.size)
-    cached = _component_get(key)
-    if cached is not None:
-        return cached
-    word_dest, word_vals, tile_writes = _input_winners(ex)
-    output_writes = _output_winners(ex)
-    value = (word_dest, word_vals, tile_writes, output_writes)
-    nbytes = word_dest.nbytes + word_vals.nbytes
-    for _, tiles, dest, src in tile_writes:
-        nbytes += tiles.nbytes + dest.nbytes + src.nbytes
-    for _, dest, rel in output_writes:
-        nbytes += dest.nbytes + rel.nbytes
-    _component_put(key, value, nbytes)
-    return value
 
 
 def _scan_last_writers(fill_starts, widths, region_words, used_words):

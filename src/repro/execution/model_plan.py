@@ -14,13 +14,7 @@ carries between kernels exactly the way ``OfflineLruSimulator`` already
 carries it *within* one kernel: each step's metrics plane starts from
 the previous step's live LRU contents, so back-to-back layers see a
 realistically warm cache instead of the cold-cache-per-kernel
-accounting the figure harnesses used to do.  Recording sessions make
-that carry *incremental* too: the session owns one
-:class:`~repro.execution.metrics.PlanBuildCarrier`, so each first-run
-step's characterization resumes from the previous step's warm LRU
-end-state (skipping the per-step cache-ways export) and classifies its
-whole concatenated copy-event line stream in **one** fused native call
-per step instead of one call per line chunk.
+accounting the figure harnesses used to do.
 
 **ModelPlan** is the fused artifact a session records: one fingerprint
 pinning the board configuration and start state, plus the ordered
@@ -363,10 +357,6 @@ class ModelSession:
         self._dirty = False
         self._finished = False
         self._result: Optional[ModelPlan] = None
-        # Resumable LRU characterization across recording steps; the
-        # kill switch (REPRO_NO_INCREMENTAL_PLAN) is honored inside
-        # build_plan so flipping it mid-session degrades cleanly.
-        self._carrier = metrics.PlanBuildCarrier(board)
         if model_plan_enabled():
             self._plan = _lookup_plan(name, self._fingerprint)
             self._replaying = self._plan is not None
@@ -440,22 +430,12 @@ class ModelSession:
         overhead; build directly instead.  The build is the identical
         deterministic computation ``obtain_plan`` runs on a miss, so
         the accounting mirrors it too.
-
-        The session's :class:`~repro.execution.metrics.PlanBuildCarrier`
-        rides along: when nothing else touched the board's caches since
-        the previous step's build, this build resumes from that step's
-        warm LRU end-state instead of re-exporting and re-seeding the
-        hierarchy (``plan_incremental_hits`` counts these).  The
-        check-mode scratch rebuilds in ``_step_plan`` stay carrier-less
-        on purpose — they independently re-derive the same plans, which
-        is exactly what makes ``REPRO_METRICS_CHECK=1`` a validation of
-        the incremental path.
         """
         if faults.fires("metrics.plan") == "fail":
             metrics.METRICS_PLAN_COUNTERS["metrics_plan_fallback"] += 1
         else:
             metrics.METRICS_PLAN_COUNTERS["metrics_plan_misses"] += 1
-        return metrics._timed_build(ex, self._carrier)
+        return metrics._timed_build(ex)
 
     # -- fusion -----------------------------------------------------------
     def finish(self) -> Optional[ModelPlan]:
@@ -577,8 +557,7 @@ def _pool_entry(fn: Callable, args: tuple):
     return result, _diagnostics_delta(snapshot_diagnostics(), base)
 
 
-def run_model_jobs(jobs: Sequence[Tuple[Callable, tuple]],
-                   workers: Optional[int] = None) -> list:
+def run_model_jobs(jobs: Sequence[Tuple[Callable, tuple]]) -> list:
     """Run independent model jobs, in parallel when the pool allows.
 
     ``jobs`` is a sequence of ``(callable, args)`` pairs; both must be
@@ -586,16 +565,9 @@ def run_model_jobs(jobs: Sequence[Tuple[Callable, tuple]],
     back in submission order.  Falls back to inline sequential execution
     — bit-identical, the jobs are deterministic — when the pool is
     sized <= 1, fork is unavailable, or we are already inside a worker.
-
-    ``workers`` overrides the REPRO_MODEL_WORKERS sizing — the plan
-    prebuilder passes its own REPRO_PLAN_PREBUILD_WORKERS figure here
-    so both fan-outs share one pool implementation (and one
-    delta-merging discipline) while staying independently tunable.
     """
     jobs = list(jobs)
-    if workers is None:
-        workers = model_workers()
-    workers = min(workers, len(jobs))
+    workers = min(model_workers(), len(jobs))
     if (workers <= 1 or os.environ.get(_WORKER_FLAG_ENV)
             or "fork" not in multiprocessing.get_all_start_methods()):
         return [fn(*args) for fn, args in jobs]

@@ -80,11 +80,6 @@ STAGE_TIMINGS: Dict[str, float] = {
     "sweep_compile_s": 0.0,
     "sweep_estimate_s": 0.0,
     "sweep_simulate_s": 0.0,
-    # Opt-in sweep prewarm: wall-clock spent prebuilding pending
-    # points' cold-path artifacts before the measured sweep (the
-    # prebuilt work itself lands in compile_s / metrics_plan_build_s
-    # etc. via the workers' merged deltas).
-    "sweep_prebuild_s": 0.0,
 }
 
 #: Guards STAGE_TIMINGS mutation: stage times are accumulated from
@@ -278,10 +273,6 @@ class DriverTrace:
     def __getstate__(self):
         state = self.__dict__.copy()
         state["metrics_plans"] = None  # persisted under its own schema
-        # component_digest (a lazily computed content hash, see
-        # repro.execution.metrics._trace_component_digest) stays in the
-        # state on purpose: model/service workers receiving the trace
-        # then key the component memo without re-hashing it.
         return state
 
     def __setstate__(self, state):

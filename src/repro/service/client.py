@@ -24,7 +24,7 @@ from __future__ import annotations
 import socket
 import time
 import uuid
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -209,25 +209,6 @@ class ServiceClient:
             spec["max_slice"] = max_slice
         reply = self.submit(spec, deadline_s=deadline_s)
         return reply["counters"], reply["output"]
-
-    def warmup(self, specs: Sequence[Dict[str, Any]],
-               request_id: Optional[str] = None) -> list:
-        """Prebuild the cold-path artifacts for ``specs`` on the server.
-
-        ``specs`` use the same vocabulary as :meth:`submit` minus the
-        ``inputs`` (the server synthesizes deterministic placeholders —
-        plans are keyed by shape and configuration, never input
-        values).  Returns one ``{"ok": ...}`` summary per spec; a
-        failed spec reports its error there instead of failing the
-        whole warmup.  Issue this once at deploy time so first-request
-        tails hit a warm store.
-        """
-        message: Dict[str, Any] = {
-            "op": "warmup",
-            "request_id": request_id or uuid.uuid4().hex,
-            "specs": list(specs),
-        }
-        return self._call(message, site="warmup")["results"]
 
     def health(self) -> dict:
         return self._call({"op": "health"}, site="health")["health"]

@@ -103,7 +103,6 @@ SERVICE_COUNTERS: Dict[str, int] = {
     "service_worker_restarts": 0, # workers restarted (crash or hang)
     "service_workers_merged": 0,  # drain-time worker deltas merged
     "service_rpc_errors": 0,      # connection-level failures observed
-    "service_warmups": 0,         # warmup RPCs accepted (plan prebuilds)
 }
 
 _COUNTER_LOCK = threading.Lock()
@@ -331,6 +330,13 @@ class ServiceServer:
 
     def _close_listener(self) -> None:
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept();
+            # shutdown() does, so the acceptor exits instead of being
+            # waited out by drain()'s join timeout.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:
@@ -396,45 +402,10 @@ class ServiceServer:
                                 "diagnostics": diagnostics()})
         elif op == "submit":
             self._handle_submit(connection, request_id, message)
-        elif op == "warmup":
-            self._handle_warmup(connection, request_id, message)
         else:
             self._respond_error(connection, request_id,
                                 errors.BAD_REQUEST,
                                 f"unknown op {op!r}")
-
-    # -- warmup ------------------------------------------------------------
-    def _handle_warmup(self, connection: _Connection, request_id: str,
-                       message: dict) -> None:
-        """Prebuild the cold-path artifacts for a list of specs.
-
-        Fans the specs onto the plan-prebuild pool
-        (:func:`repro.execution.prebuild.prebuild_plans`); each build
-        persists its kernel/trace/MetricsPlan into the shared store, so
-        later ``submit`` requests for the same shapes are warm hits in
-        the request workers.  Runs inline on this connection's reader
-        thread — it blocks only this client, never the dispatchers —
-        and per-spec failures come back as data, not an error reply.
-        """
-        from ..execution.prebuild import prebuild_plans
-
-        specs = message.get("specs")
-        if not isinstance(specs, (list, tuple)) \
-                or not all(isinstance(spec, dict) for spec in specs):
-            self._respond_error(connection, request_id,
-                                errors.BAD_REQUEST,
-                                "warmup needs a list of spec dicts")
-            return
-        with self._cond:
-            draining = self._draining
-        if draining:
-            self._respond_error(connection, request_id,
-                                errors.SHUTTING_DOWN, "draining")
-            return
-        _count("service_warmups")
-        results = prebuild_plans(specs)
-        connection.respond({"request_id": request_id, "status": "ok",
-                            "results": results})
 
     # -- admission ---------------------------------------------------------
     def _handle_submit(self, connection: _Connection, request_id: str,

@@ -490,14 +490,6 @@ class OfflineLruSimulator:
     prefixes (the no-compiler fallback).  Chunked use is supported:
     each :meth:`process` call carries the evolving state forward, so
     arbitrarily long sequences classify in bounded memory.
-
-    The carry-forward also spans *kernels*: a resumable
-    characterization (``PlanBuildCarrier`` in the metrics plane) keeps
-    one simulator alive across consecutive plan builds on the same
-    board, so each build starts from the previous build's warm LRU
-    end-state instead of re-seeding from a fresh hierarchy export.
-    Callers attributing work to one build bracket it with
-    :meth:`counts_snapshot`.
     """
 
     def __init__(self, hierarchy: "CacheHierarchy"):
@@ -580,18 +572,6 @@ class OfflineLruSimulator:
         l1_hit = codes == 0
         l2_hit = codes[~l1_hit] == 1
         return l1_hit, l2_hit
-
-    def counts_snapshot(self) -> Tuple[int, int, int, int]:
-        """Immutable (l1_hits, l1_misses, l2_hits, l2_misses) so far.
-
-        Snapshot before a run of :meth:`process` calls and diff after
-        to attribute a hit/miss delta to that run alone — the basis of
-        the cross-kernel resumable characterization, where one
-        simulator accumulates counts over many plan builds.
-        """
-        l1, l2 = self.hierarchy.l1, self.hierarchy.l2
-        c1, c2 = self._counts[l1.name], self._counts[l2.name]
-        return (c1[0], c1[1], c2[0], c2[1])
 
     def finalize(self) -> None:
         """Install the final LRU contents and totals into the caches."""

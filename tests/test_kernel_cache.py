@@ -37,7 +37,6 @@ class TestKernelCache:
                                     "metrics_plan_hits",
                                     "metrics_plan_misses",
                                     "metrics_plan_fallback",
-                                    "plan_incremental_hits",
                                     "component_memo_hits",
                                     "component_memo_misses",
                                     "model_plan_hits",
@@ -300,33 +299,6 @@ class TestDiskKernelStore:
             == before["metrics_plan_hits"] + 1
         assert METRICS_PLAN_COUNTERS["metrics_plan_misses"] \
             == before["metrics_plan_misses"]
-
-    def test_component_digest_round_trips_with_trace(self, tmp_path):
-        """A metrics-built trace persists its component-memo digest.
-
-        The digest is a plain hex string precisely so the store codec
-        can carry it: warm processes then key the cross-entry component
-        memo without re-hashing the trace's structural arrays.  A
-        non-string digest would make the whole post-replay payload
-        unencodable and silently demote plans to memory-only.
-        """
-        from repro.execution.metrics import _trace_component_digest
-
-        store = str(tmp_path / "repro_cache")
-        writer = KernelCache(disk_dir=store)
-        kernel = make_compiler(writer).compile_matmul(32, 32, 32)
-        self._run(kernel)   # builds the plan -> computes the digest
-        fresh = kernel.trace_state.trace
-        digest = getattr(fresh, "component_digest", None)
-        assert isinstance(digest, str) and digest
-
-        reader = KernelCache(disk_dir=store)
-        loaded = make_compiler(reader).compile_matmul(32, 32, 32)
-        trace = loaded.trace_state.trace
-        assert trace.metrics_plans  # the persist hook must not degrade
-        assert getattr(trace, "component_digest", None) == digest
-        # _trace_component_digest must serve the persisted value as-is.
-        assert _trace_component_digest(trace) == digest
 
     def test_stale_metrics_schema_evicts_only_plan(self, tmp_path,
                                                    monkeypatch):

@@ -20,19 +20,18 @@ import uuid
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.accelerators import make_conv_system, make_matmul_system
 from repro.compiler import AXI4MLIRCompiler, KernelCache
 from repro.execution import (
     METRICS_PLAN_COUNTERS,
+    MODEL_PLAN_COUNTERS,
     MetricsPlanMismatch,
     reset_model_plans,
 )
-from repro.execution.metrics import reset_component_memo
 from repro.runtime import DoubleBufferedRuntime
 from repro.soc import make_pynq_z2
-from repro.soc._native import native_lib
 
 from test_trace_replay import _board_state
 
@@ -239,88 +238,23 @@ class TestResultsTables:
         assert rendered == results.read_text()
 
 
-# -- incremental cross-kernel builds ----------------------------------------
+# -- generated session oracle ----------------------------------------------
 #
-# The contract: a recording ModelSession resuming each step's LRU
-# characterization from the previous step's warm end-state (the
-# PlanBuildCarrier path) is bit-identical to scratch builds that
-# re-export the hierarchy per step (the REPRO_NO_INCREMENTAL_PLAN=1
-# path) — per-step PerfCounters, outputs, board clock, and LRU
-# end-state digests all match, as do the fused plans' timelines.
+# The contract: a recording ModelSession (fused-plan path, with the
+# board's cache warm-state carried from step to step) is bit-identical
+# to running the same steps through the per-kernel path
+# (REPRO_NO_MODEL_PLAN=1) — per-step PerfCounters, outputs, board clock
+# and LRU end-state digests all match, over generated configurations.
 
-def _run_matmul_session(specs, *, incremental, name=None):
-    """One fresh recording session over matmul ``specs``."""
+def _per_kernel_sequence(specs):
+    """The same session with every step on the per-kernel plan path."""
     from test_model_plan import run_matmul_sequence
 
-    name = name or f"incr-{uuid.uuid4().hex}"
-    if incremental:
-        return run_matmul_sequence(name, specs)
-    os.environ["REPRO_NO_INCREMENTAL_PLAN"] = "1"
+    os.environ["REPRO_NO_MODEL_PLAN"] = "1"
     try:
-        return run_matmul_sequence(name, specs)
+        return run_matmul_sequence(f"oracle-{uuid.uuid4().hex}", specs)
     finally:
-        del os.environ["REPRO_NO_INCREMENTAL_PLAN"]
-
-
-class TestIncrementalBuilds:
-    def test_kill_switch_skips_resumption_bit_identically(self):
-        from test_model_plan import MATMUL_SPECS
-
-        reset_model_plans()
-        before = dict(METRICS_PLAN_COUNTERS)
-        warm_states, warm_plan = _run_matmul_session(
-            MATMUL_SPECS, incremental=True)
-        # Step 1 seeds the carrier; every later step resumes it.
-        assert METRICS_PLAN_COUNTERS["plan_incremental_hits"] \
-            == before["plan_incremental_hits"] + len(MATMUL_SPECS) - 1
-
-        reset_model_plans()
-        before = dict(METRICS_PLAN_COUNTERS)
-        cold_states, cold_plan = _run_matmul_session(
-            MATMUL_SPECS, incremental=False)
-        assert METRICS_PLAN_COUNTERS["plan_incremental_hits"] \
-            == before["plan_incremental_hits"]
-        assert warm_states == cold_states
-        assert np.array_equal(warm_plan.timeline(), cold_plan.timeline())
-
-    def test_conv_session_incremental_bit_identical(self):
-        from test_model_plan import run_conv_sequence
-
-        reset_model_plans()
-        warm = run_conv_sequence(f"incr-conv-{uuid.uuid4().hex}")
-        reset_model_plans()
-        os.environ["REPRO_NO_INCREMENTAL_PLAN"] = "1"
-        try:
-            cold = run_conv_sequence(f"incr-conv-{uuid.uuid4().hex}")
-        finally:
-            del os.environ["REPRO_NO_INCREMENTAL_PLAN"]
-        assert warm[0] == cold[0]
-        assert np.array_equal(warm[1].timeline(), cold[1].timeline())
-
-    def test_mid_sequence_divergence_bit_identical(self):
-        """A replaying session that falls off the fused plan mid-way
-        records the divergent tail with a carrier whose state no longer
-        matches the board (replayed steps applied plans without
-        touching it) — the carrier must detect that and reseed, giving
-        the same bits as the scratch path."""
-        from test_model_plan import MATMUL_SPECS, run_matmul_sequence
-
-        divergent = (MATMUL_SPECS[0], (16, 32, 16, 8, 3, "Cs", None))
-        results = {}
-        for mode in ("warm", "cold"):
-            reset_model_plans()
-            name = f"diverge-{mode}-{uuid.uuid4().hex}"
-            if mode == "cold":
-                os.environ["REPRO_NO_INCREMENTAL_PLAN"] = "1"
-            try:
-                run_matmul_sequence(name)  # record the straight run
-                results[mode] = run_matmul_sequence(name, divergent)
-            finally:
-                os.environ.pop("REPRO_NO_INCREMENTAL_PLAN", None)
-        warm_states, warm_plan = results["warm"]
-        cold_states, cold_plan = results["cold"]
-        assert warm_states == cold_states
-        assert np.array_equal(warm_plan.timeline(), cold_plan.timeline())
+        del os.environ["REPRO_NO_MODEL_PLAN"]
 
 
 @settings(max_examples=8, deadline=None)
@@ -330,62 +264,37 @@ class TestIncrementalBuilds:
     version_flow=st.sampled_from([(1, "Ns"), (2, "As"), (2, "Bs"),
                                   (3, "Cs"), (3, "Ns")]),
     repeat=st.booleans(),
+    diverge=st.booleans(),
 )
-def test_property_incremental_matches_scratch(tiles, version_flow, repeat):
-    """Incremental-vs-scratch bit-identity across flows and tilings.
+@example(tiles=(1, 2, 1), version_flow=(2, "As"), repeat=False,
+         diverge=True)
+def test_property_session_matches_per_kernel(tiles, version_flow, repeat,
+                                             diverge):
+    """Recording-session vs per-kernel bit-identity.
 
     ``repeat`` alternates between a repeated-layer sequence (same
-    kernel twice, the memo-friendly case) and a grown second step."""
+    kernel twice) and a grown second step.  ``diverge`` first records
+    the straight sequence, then runs one whose second step differs: the
+    replaying session matches step 1, falls off the fused plan, and
+    records the divergent tail."""
+    from test_model_plan import run_matmul_sequence
+
     version, flow = version_flow
     size = 4
     m, n, k = size * tiles[0], size * tiles[1], size * tiles[2]
     second = (m, n, k) if repeat else (m, 2 * n, k)
     specs = ((m, n, k, size, version, flow, None),
              second + (size, version, flow, None))
+    name = f"oracle-{uuid.uuid4().hex}"
     reset_model_plans()
-    warm_states, warm_plan = _run_matmul_session(specs, incremental=True)
+    session_states, plan = run_matmul_sequence(name, specs)
+    if diverge:
+        specs = (specs[0], (m, n, 2 * k, size, version, flow, None))
+        before = dict(MODEL_PLAN_COUNTERS)
+        session_states, plan = run_matmul_sequence(name, specs)
+        for key in ("model_plan_step_hits", "model_plan_divergence"):
+            assert MODEL_PLAN_COUNTERS[key] == before[key] + 1, key
     reset_model_plans()
-    cold_states, cold_plan = _run_matmul_session(specs, incremental=False)
-    assert warm_states == cold_states
-    assert np.array_equal(warm_plan.timeline(), cold_plan.timeline())
-
-
-class TestComponentMemo:
-    #: Memoized sub-products of one live build: cost tables, stream
-    #: tables, winner maps, timeline sync/aux tables, and (on the
-    #: native path) the classification result keyed by LRU start state.
-    COMPONENTS_PER_BUILD = 5 if native_lib() is not None else 4
-
-    def test_identical_layout_builds_hit_memo(self, monkeypatch):
-        """Two live builds of the same kernel on identically laid-out
-        fresh boards: the first misses every component (cost tables,
-        stream tables, winner maps, cold-state classification), the
-        second hits them all."""
-        per_build = self.COMPONENTS_PER_BUILD
-        monkeypatch.setenv("REPRO_NO_METRICS_PLAN", "1")
-        reset_component_memo()
-        kernel, hw_factory = _matmul_setup(3, 4, "Ns", 16, 16, 16)
-        before = dict(METRICS_PLAN_COUNTERS)
-        _measure_matmul(kernel, hw_factory, 16, 16, 16, runs=1)
-        assert METRICS_PLAN_COUNTERS["component_memo_hits"] \
-            == before["component_memo_hits"]
-        assert METRICS_PLAN_COUNTERS["component_memo_misses"] \
-            == before["component_memo_misses"] + per_build
-        _measure_matmul(kernel, hw_factory, 16, 16, 16, runs=1)
-        assert METRICS_PLAN_COUNTERS["component_memo_hits"] \
-            == before["component_memo_hits"] + per_build
-        assert METRICS_PLAN_COUNTERS["component_memo_misses"] \
-            == before["component_memo_misses"] + per_build
-
-    def test_distinct_shapes_do_not_alias(self, monkeypatch):
-        per_build = self.COMPONENTS_PER_BUILD
-        monkeypatch.setenv("REPRO_NO_METRICS_PLAN", "1")
-        reset_component_memo()
-        before = dict(METRICS_PLAN_COUNTERS)
-        for m in (16, 32):
-            kernel, hw_factory = _matmul_setup(3, 4, "Ns", m, 16, 16)
-            _measure_matmul(kernel, hw_factory, m, 16, 16, runs=1)
-        assert METRICS_PLAN_COUNTERS["component_memo_hits"] \
-            == before["component_memo_hits"]
-        assert METRICS_PLAN_COUNTERS["component_memo_misses"] \
-            == before["component_memo_misses"] + 2 * per_build
+    per_kernel_states, none_plan = _per_kernel_sequence(specs)
+    assert none_plan is None
+    assert session_states == per_kernel_states

@@ -357,9 +357,27 @@ class TestService:
                 spec["inputs"] = [spec["inputs"][0]]
                 with pytest.raises(errors.BadRequest):
                     client.submit(spec)
+                # The plan-warmup op is gone: it is an unknown op now.
+                with pytest.raises(errors.BadRequest, match="unknown op"):
+                    client._call({"op": "warmup", "request_id": "w-1",
+                                  "specs": [matmul_spec()]},
+                                 site="warmup")
             assert slept == []  # BAD_REQUEST must fail fast
         finally:
             server.drain()
+
+    def test_idle_drain_is_prompt_and_leaves_no_thread(self):
+        """drain() wakes the acceptor instead of waiting out its join
+        timeout, and no service thread outlives the server."""
+        import threading
+
+        server = ServiceServer(workers=1, queue_max=4).start()
+        started = time.monotonic()
+        server.drain()
+        assert time.monotonic() - started < 0.5
+        alive = [thread.name for thread in threading.enumerate()
+                 if thread.name.startswith("service-")]
+        assert alive == []
 
     def test_idempotent_request_id_returns_cached_response(self):
         server = ServiceServer(workers=1, queue_max=4).start()

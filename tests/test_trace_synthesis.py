@@ -267,7 +267,7 @@ class TestTraceSources:
         }
         assert set(report["metrics_plan"]) == {
             "metrics_plan_hits", "metrics_plan_misses",
-            "metrics_plan_fallback", "plan_incremental_hits",
+            "metrics_plan_fallback",
             "component_memo_hits", "component_memo_misses",
         }
         assert set(report["model_plan"]) == {
