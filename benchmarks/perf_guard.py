@@ -6,8 +6,7 @@ than ``--threshold`` slower — in total, on any of the three slowest
 baseline harnesses (the ones a perf regression would hide in), or on
 any pipeline *stage* (``compile_s`` / ``trace_synth_s`` /
 ``trace_record_s`` / ``manual_record_s`` / ``replay_s`` /
-``metrics_plan_build_s`` / ``metrics_plan_apply_s`` /
-``model_plan_build_s`` / ``model_plan_apply_s``): a stage-level
+``metrics_plan_build_s`` / ``metrics_plan_apply_s``): a stage-level
 guard catches e.g. a change that silently knocks every kernel off the
 synthesis path onto recording — or every replay off the cached
 metrics-plan path onto a full rebuild — even when harness totals still

@@ -50,14 +50,8 @@ _MANUAL_TRACES: Dict[Tuple, Optional[object]] = {}
 _MANUAL_REPLAY_FAILED = set()
 
 
-def _run_manual_body(body, rt, board, before, descriptors, key,
-                     plan_source=None):
-    """Replay ``body`` from its recorded trace; per-tile on fallback.
-
-    ``plan_source`` (from :meth:`repro.execution.ModelSession.plan_source`)
-    makes the replay a model-session step: its metrics plane is served
-    from / recorded into the session's fused ModelPlan.
-    """
+def _run_manual_body(body, rt, board, before, descriptors, key):
+    """Replay ``body`` from its recorded trace; per-tile on fallback."""
     if trace_enabled():
         specs = tuple((d.sizes, d.strides, d.itemsize, str(d.dtype))
                       for d in descriptors)
@@ -77,8 +71,7 @@ def _run_manual_body(body, rt, board, before, descriptors, key,
         trace = _MANUAL_TRACES[cache_key]
         if trace is not None:
             try:
-                replay_kernel(trace, board, rt, descriptors, False,
-                              plan_source=plan_source)
+                replay_kernel(trace, board, rt, descriptors, False)
                 return board.measure_since(before)
             except TraceUnsupported:
                 # Count the kernel once, but keep retrying: replay
@@ -126,15 +119,12 @@ def manual_matmul_driver(
     size: int,
     flow: str = "Ns",
     tiles: Optional[Tuple[int, int, int]] = None,
-    plan_source=None,
 ) -> PerfCounters:
     """Drive a Table I accelerator by hand; C += A @ B.
 
     ``tiles`` overrides the square tile for flexible (v4) accelerators.
-    ``plan_source`` optionally joins the offload to a model session
-    (see :func:`_run_manual_body`).  Returns the perf counter delta of
-    the whole offload (including DMA initialization, as measured in the
-    paper's task-clock).
+    Returns the perf counter delta of the whole offload (including DMA
+    initialization, as measured in the paper's task-clock).
     """
     m, k = a.shape
     k2, n = b.shape
@@ -278,8 +268,7 @@ def manual_matmul_driver(
 
     key = ("matmul", version, size, flow, (tile_m, tile_n, tile_k))
     return _run_manual_body(body, rt, board, before,
-                            [desc_a, desc_b, desc_c], key,
-                            plan_source=plan_source)
+                            [desc_a, desc_b, desc_c], key)
 
 
 def manual_conv_driver(
@@ -288,13 +277,8 @@ def manual_conv_driver(
     weights: np.ndarray,
     out: np.ndarray,
     stride: int = 1,
-    plan_source=None,
 ) -> PerfCounters:
-    """Drive the conv accelerator by hand (filter/output stationary).
-
-    ``plan_source`` optionally joins the offload to a model session
-    (see :func:`_run_manual_body`).
-    """
+    """Drive the conv accelerator by hand (filter/output stationary)."""
     batch, in_ch, in_h, in_w = image.shape
     out_ch, in_ch2, f_h, f_w = weights.shape
     if in_ch != in_ch2:
@@ -353,5 +337,4 @@ def manual_conv_driver(
 
     key = ("conv", stride)
     return _run_manual_body(body, rt, board, before,
-                            [desc_i, desc_w, desc_o], key,
-                            plan_source=plan_source)
+                            [desc_i, desc_w, desc_o], key)

@@ -279,12 +279,9 @@ class KernelCache:
             self.disk_stale += delta.get("disk_stale", 0)
 
     def stats(self) -> dict:
-        from .execution.model_plan import MODEL_PLAN_COUNTERS
-
         stats = {"hits": self.hits, "misses": self.misses,
                  "entries": len(self._entries),
-                 "trace": {**TRACE_COUNTERS, **METRICS_PLAN_COUNTERS,
-                           **MODEL_PLAN_COUNTERS}}
+                 "trace": {**TRACE_COUNTERS, **METRICS_PLAN_COUNTERS}}
         disk_dir = self._resolve_disk_dir()
         if disk_dir is not None:
             stats.update(disk_hits=self.disk_hits,
@@ -531,8 +528,7 @@ class CompiledKernel:
 
     def run(self, board: Board, *arrays: np.ndarray,
             runtime: Optional[AxiRuntime] = None,
-            trace: Optional[bool] = None,
-            plan_source=None):
+            trace: Optional[bool] = None):
         """Execute the emitted host code against ``board``.
 
         Returns the perf counter delta for this invocation.
@@ -545,17 +541,13 @@ class CompiledKernel:
         ``None`` (the default) enables it unless ``REPRO_NO_TRACE=1``;
         unsupported drivers or runtimes fall back to per-tile execution
         transparently.
-
-        ``plan_source`` overrides how the replay obtains its metrics
-        plane (see :func:`repro.execution.replay.replay_kernel`); model
-        sessions use it to serve fused per-step sub-plans.
         """
         rt = runtime or self.make_runtime(board)
         descriptors = [rt.make_memref(np.ascontiguousarray(a), f"arg{i}")
                        for i, a in enumerate(arrays)]
         before = board.snapshot()
         if self._trace_applicable(trace, rt) \
-                and self._run_traced(board, rt, descriptors, plan_source):
+                and self._run_traced(board, rt, descriptors):
             return board.measure_since(before)
         self.entry_point(rt, *descriptors)
         return board.measure_since(before)
@@ -605,7 +597,7 @@ class CompiledKernel:
         TRACE_COUNTERS["recorded"] += 1
         return recorded
 
-    def _run_traced(self, board, rt, descriptors, plan_source=None) -> bool:
+    def _run_traced(self, board, rt, descriptors) -> bool:
         state = self.trace_state
         if state.failed:
             return False
@@ -629,8 +621,7 @@ class CompiledKernel:
             return False
         try:
             replay_kernel(state.trace, board, rt, descriptors,
-                          type(rt) is DoubleBufferedRuntime,
-                          plan_source=plan_source)
+                          type(rt) is DoubleBufferedRuntime)
         except TraceUnsupported:
             return False
         if state.persist is not None and not state.persisted:

@@ -29,16 +29,9 @@ from .metrics import (
 )
 from .model_plan import (
     MODEL_PLAN_COUNTERS,
-    MODEL_PLAN_SCHEMA_VERSION,
-    ModelPlan,
-    ModelPlanMismatch,
-    ModelSession,
     merge_worker_diagnostics,
-    model_check_requested,
-    model_plan_enabled,
     model_workers,
     reset_model_plan_counters,
-    reset_model_plans,
     run_model_jobs,
 )
 from .replay import ReplayExecutor, replay_kernel
@@ -55,9 +48,8 @@ def diagnostics() -> dict:
     replays obtained their metrics plane (cached-plan hits, fresh
     builds, kill-switch fallbacks) — a nonzero
     ``metrics_plan_fallback`` means the plan path was bypassed.
-    ``model_plan`` counts the model-granularity layer on top: fused
-    ModelPlan sessions replayed vs recorded, per-step sub-plan hits,
-    divergences, and how many pool workers merged their deltas back.
+    ``model_plan`` counts how many model-job pool workers merged their
+    deltas back.
 
     All counters include work merged back from replay pool workers
     (see :func:`repro.execution.model_plan.run_model_jobs`) — they are
@@ -107,10 +99,8 @@ __all__ = [
     "METRICS_PLAN_COUNTERS", "METRICS_PLAN_SCHEMA_VERSION", "MetricsPlan",
     "MetricsPlanMismatch", "metrics_check_requested",
     "metrics_plan_enabled", "reset_metrics_plan_counters",
-    "MODEL_PLAN_COUNTERS", "MODEL_PLAN_SCHEMA_VERSION", "ModelPlan",
-    "ModelPlanMismatch", "ModelSession", "merge_worker_diagnostics",
-    "model_check_requested", "model_plan_enabled", "model_workers",
-    "reset_model_plan_counters", "reset_model_plans", "run_model_jobs",
+    "MODEL_PLAN_COUNTERS", "merge_worker_diagnostics", "model_workers",
+    "reset_model_plan_counters", "run_model_jobs",
     "ReplayExecutor", "replay_kernel",
     "diagnostics",
 ]

@@ -64,15 +64,8 @@ _BLOCK_ELEMENTS = 1 << 23
 
 
 def replay_kernel(trace: DriverTrace, board, rt, descriptors,
-                  double_buffered: bool, plan_source=None) -> None:
-    """Execute one invocation of a traced kernel against ``board``.
-
-    ``plan_source`` optionally overrides how the metrics plane is
-    obtained — ``(executor, decode_key) -> MetricsPlan`` — and is how a
-    :class:`~repro.execution.model_plan.ModelSession` serves fused
-    per-step sub-plans; ``None`` uses the per-kernel
-    :func:`~repro.execution.metrics.obtain_plan` path.
-    """
+                  double_buffered: bool) -> None:
+    """Execute one invocation of a traced kernel against ``board``."""
     start = time.perf_counter()
     try:
         # Fault hook: fires before any board/descriptor mutation, so
@@ -84,7 +77,7 @@ def replay_kernel(trace: DriverTrace, board, rt, descriptors,
             raise ReplayUnsupported("no accelerator attached")
         plan = decode_for_accelerator(trace, accelerator)
         executor = ReplayExecutor(trace, plan, board, rt, descriptors,
-                                  double_buffered, plan_source)
+                                  double_buffered)
         executor.execute()
     finally:
         add_stage_time("replay_s", time.perf_counter() - start)
@@ -112,14 +105,13 @@ class _PushRows:
 
 class ReplayExecutor:
     def __init__(self, trace: DriverTrace, plan: DecodedPlan, board, rt,
-                 descriptors, double_buffered: bool, plan_source=None):
+                 descriptors, double_buffered: bool):
         self.trace = trace
         self.plan = plan
         self.board = board
         self.rt = rt
         self.descriptors = descriptors
         self.double_buffered = double_buffered
-        self.plan_source = plan_source
         self.engine: Optional[DmaEngine] = None
         #: Per-class full flat-index arrays, memoized for the replay's
         #: lifetime: operand tiles are re-gathered across many compute
@@ -177,10 +169,8 @@ class ReplayExecutor:
         push_data = self._compute_functional()
         self._install_engine()
         # Metrics plane: cached per (trace, runtime-config/state
-        # fingerprint), rebuilt from scratch on a miss — or served from
-        # a fused ModelPlan when a session supplied a plan_source.
-        source = self.plan_source or metrics.obtain_plan
-        mplan = source(self, decode_key(self.board.accelerator))
+        # fingerprint), rebuilt from scratch on a miss.
+        mplan = metrics.obtain_plan(self, decode_key(self.board.accelerator))
         # Input-region reconstruction must read the argument arrays
         # before receives land in them: the recording guard guarantees
         # every send precedes the first receive of its argument, so the

@@ -69,10 +69,6 @@ STAGE_TIMINGS: Dict[str, float] = {
     # a MetricsPlan from scratch vs applying a cached one in O(state).
     "metrics_plan_build_s": 0.0,
     "metrics_plan_apply_s": 0.0,
-    # Model-granularity breakdown: fusing/persisting a session's
-    # ModelPlan vs serving a fused sub-plan (a subset of replay_s).
-    "model_plan_build_s": 0.0,
-    "model_plan_apply_s": 0.0,
     # Autotuning sweep breakdown: total sweep wall-clock, journal I/O,
     # and the per-point pipeline stages measured inside the workers.
     "sweep_run_s": 0.0,

@@ -7,8 +7,8 @@ configurations, and the simulations are deterministic.
 
 The model figures (fig16/fig17) instead run whole kernel *sequences*
 through the ``run_*_model`` runners below: one shared board per model
-(cache warm-state carries between layers), fused ModelPlan replay, and
-independent models dispatched onto the replay worker pool.
+(cache warm-state carries between layers) and independent models
+dispatched onto the model-job worker pool.
 
 Compilation goes through the process-wide kernel cache
 (:func:`repro.compiler.default_kernel_cache`): figures that sweep the
@@ -232,18 +232,11 @@ def measure_cpu_conv(layer) -> PerfCounters:
 # ---------------------------------------------------------------------------
 #
 # The model figures measure kernel *sequences*, not isolated kernels:
-# every step of one model runs on a single shared board inside a
-# ModelSession, so the cache warm-state carries between layers (the
-# OfflineLruSimulator starts each step from the previous step's live
-# LRU contents) and generated steps are served from the fused ModelPlan
-# when one matches.  The runners are module-level so run_model_jobs can
-# fork them into pool workers.
-
-def _model_tag(payload) -> str:
-    import hashlib
-
-    return hashlib.sha256(repr(payload).encode()).hexdigest()[:12]
-
+# every step of one model runs on a single shared board, so the cache
+# warm-state carries between layers (the OfflineLruSimulator starts each
+# step from the previous step's live LRU contents).  Each step takes the
+# ordinary per-kernel metrics-plan path.  The runners are module-level
+# so run_model_jobs can fork them into pool workers.
 
 @lru_cache(maxsize=None)
 def _conv_golden(layer) -> np.ndarray:
@@ -266,10 +259,7 @@ def run_conv_model(layers: Tuple, impl: str) -> Tuple[PerfCounters, ...]:
     on the same board so the comparison sees the same warm caches.
     Returns the per-layer perf-counter deltas, in order.
     """
-    from ..execution import ModelSession
-
     board = make_pynq_z2()
-    session = ModelSession(f"conv-{impl}-{_model_tag(layers)}", board)
     results = []
     for layer in layers:
         image, weights = _conv_data(layer)
@@ -280,10 +270,8 @@ def run_conv_model(layers: Tuple, impl: str) -> Tuple[PerfCounters, ...]:
                 ConvAccelerator(max_ic=layer.in_ch, max_fhw=layer.f_hw,
                                 max_slice=layer.out_hw ** 2)
             )
-            counters = manual_conv_driver(
-                board, image, weights, out, layer.stride,
-                plan_source=session.plan_source(("conv", layer)),
-            )
+            counters = manual_conv_driver(board, image, weights, out,
+                                          layer.stride)
         else:
             hw, info = make_conv_system(layer.in_ch, layer.f_hw,
                                         max_slice=layer.out_hw ** 2)
@@ -293,12 +281,10 @@ def run_conv_model(layers: Tuple, impl: str) -> Tuple[PerfCounters, ...]:
                 layer.batch, layer.in_ch, layer.in_hw,
                 layer.out_ch, layer.f_hw, layer.stride,
             )
-            counters = session.run(kernel, image, weights, out,
-                                   step_key=("conv", layer))
+            counters = kernel.run(board, image, weights, out)
         if not np.array_equal(out, expected):
             raise AssertionError(f"{impl} conv wrong for {layer.label}")
         results.append(counters)
-    session.finish()
     return tuple(results)
 
 
@@ -306,13 +292,10 @@ def run_matmul_model(specs: Tuple) -> Tuple[PerfCounters, ...]:
     """One matmul sequence (fig17 strategy) on a single shared board.
 
     ``specs`` is an ordered tuple of ``(m, n, k, size, version, flow,
-    accel_size)`` kernel configurations; each runs as one ModelSession
-    step so consecutive matmuls see realistically warm caches.
+    accel_size)`` kernel configurations; all run on the same board so
+    consecutive matmuls see realistically warm caches.
     """
-    from ..execution import ModelSession
-
     board = make_pynq_z2()
-    session = ModelSession(f"matmul-{_model_tag(specs)}", board)
     results = []
     for spec in specs:
         dims_m, dims_n, dims_k, size, version, flow, accel_size = spec
@@ -323,11 +306,10 @@ def run_matmul_model(specs: Tuple) -> Tuple[PerfCounters, ...]:
         kernel = compiler.compile_matmul(dims_m, dims_n, dims_k)
         a, b = _data(dims_m, dims_n, dims_k)
         c = np.zeros((dims_m, dims_n), np.int32)
-        counters = session.run(kernel, a, b, c, step_key=("matmul",) + spec)
+        counters = kernel.run(board, a, b, c)
         if not np.array_equal(c, _expected_matmul(a, b)):
             raise AssertionError(f"model matmul wrong for {spec}")
         results.append(counters)
-    session.finish()
     return tuple(results)
 
 

@@ -7,16 +7,16 @@ store -> memory-only, service worker -> restart + requeue).  This
 module lets tests and CI *prove* those rungs: a seeded registry
 decides, per call site, whether an injected fault fires, and the hook
 points in ``store.py``, ``soc/_native.py``, ``execution/metrics.py``,
-``execution/model_plan.py``, ``execution/replay.py``,
-``execution/synthesize.py`` and the ``service`` package translate a
-firing into the exact failure the fallback is designed to absorb
-(``model.plan:fail`` degrades fused model-plan steps to the per-kernel
-metrics-plan path; ``service.worker:crash`` kills a pool worker
-mid-request).  The autotuning sweep adds three sites of its own:
-``tuning.journal:io`` fails journal appends (the sweep degrades to
-memory-only progress tracking), ``tuning.worker:crash`` kills sweep
-workers mid-point, and ``tuning.point:poison`` makes specific points
-crash every worker that touches them until quarantined.
+``execution/replay.py``, ``execution/synthesize.py`` and the
+``service`` package translate a firing into the exact failure the
+fallback is designed to absorb (``metrics.plan:fail`` rebuilds the
+metrics plane instead of using a cached plan; ``service.worker:crash``
+kills a pool worker mid-request).  The autotuning sweep adds three
+sites of its own: ``tuning.journal:io`` fails journal appends (the
+sweep degrades to memory-only progress tracking),
+``tuning.worker:crash`` kills sweep workers mid-point, and
+``tuning.point:poison`` makes specific points crash every worker that
+touches them until quarantined.
 
 Grammar (``REPRO_FAULTS``)::
 
@@ -58,7 +58,6 @@ SITES = {
     "store.lock": ("timeout",),
     "native.compile": ("fail",),
     "metrics.plan": ("fail",),
-    "model.plan": ("fail",),
     "replay": ("fail",),
     "synth": ("fail",),
     "service.worker": ("crash",),

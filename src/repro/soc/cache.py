@@ -610,9 +610,9 @@ def warm_state_digest(hierarchy: "CacheHierarchy") -> str:
     """Hex digest of the exact LRU contents of both cache levels.
 
     Order-sensitive (MRU-first way stacks), so two boards agree iff
-    their warm states are bit-identical — the pin the model-granularity
-    replay tests use to prove the inter-kernel warm-state carry matches
-    the sequential per-kernel path exactly.
+    their warm states are bit-identical — the pin the differential
+    tests use to prove the fast path leaves a shared board in exactly
+    the warm state the reference interpreter does.
     """
     digest = hashlib.sha256()
     for cache in (hierarchy.l1, hierarchy.l2):
@@ -627,8 +627,9 @@ def install_ways(cache: Cache, ways: np.ndarray) -> None:
 
     O(copy): the array is kept as a private mirror and only expanded
     into the per-set dicts when ``Cache._sets`` is next read — which a
-    replay-to-replay step sequence never does, so model sessions hand
-    cache end-states from one step's plan to the next build as arrays.
+    replay-to-replay step sequence never does, so kernels run back to
+    back on one board hand cache end-states from one step's plan to the
+    next build as arrays.
     """
     cache._ways_mirror = np.array(ways, dtype=np.int64)
 

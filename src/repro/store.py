@@ -149,7 +149,6 @@ def _class_registry() -> Dict[str, Tuple[type, Optional[Tuple[str, ...]]]]:
     execution/transform modules import numpy-heavy machinery).
     """
     from .execution.metrics import MetricsPlan
-    from .execution.model_plan import ModelPlan
     from .execution.trace import DecodedPlan, DriverTrace, _TileClass
     from .transforms.flow_analysis import (
         FlowPlacement,
@@ -181,9 +180,6 @@ def _class_registry() -> Dict[str, Tuple[type, Optional[Tuple[str, ...]]]]:
             "input_word_dest", "input_word_values", "input_tile_writes",
             "output_writes",
         )),
-        # Fused model plans: steps is a list of (config-repr, MetricsPlan)
-        # tuples, both already covered by the codec.
-        "ModelPlan": (ModelPlan, ("name", "fingerprint", "steps")),
     }
 
 

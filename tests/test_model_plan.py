@@ -1,16 +1,14 @@
-"""Model-granularity replay (repro.execution.model_plan).
+"""Model-granularity runs (fig16/fig17) and the model-job worker pool.
 
-The contract under test: running a kernel *sequence* through a
-:class:`ModelSession` — fused ModelPlan record/replay, inter-kernel
-cache warm-state carry, worker-pool dispatch — is **bit-identical** to
-running the same sequence step-by-step through the per-kernel metrics
-plane (the ``REPRO_NO_MODEL_PLAN=1`` path): PerfCounters, output
-arrays, the board clock, and the exact LRU warm state
-(:func:`repro.soc.cache.warm_state_digest`) all match.
+The model figures run each kernel sequence on one shared board, so the
+cache warm-state carries from step to step; every step takes the
+ordinary per-kernel metrics-plan path.  Under test: the warm-state
+carry itself, the disk store staying quiet on a warm re-run, and the
+``run_model_jobs`` pool (results and diagnostics match inline runs).
 
-Every scenario drives the same tiny two-kernel sequences (a matmul
-schedule and a manual+generated conv pair, miniatures of fig17/fig16)
-so the whole file stays fast.
+The sequence helpers below are also the subject of the differential
+oracle in ``test_metrics_plan.py`` (fast path vs reference
+interpreter).
 """
 
 import numpy as np
@@ -22,13 +20,8 @@ from repro.baselines import cpu_conv, manual_conv_driver
 from repro.compiler import AXI4MLIRCompiler, KernelCache
 from repro.execution import (
     MODEL_PLAN_COUNTERS,
-    ModelPlanMismatch,
-    ModelSession,
-    model_check_requested,
-    model_plan_enabled,
     model_workers,
     reset_model_plan_counters,
-    reset_model_plans,
     run_model_jobs,
 )
 from repro.soc import make_pynq_z2
@@ -40,11 +33,8 @@ MATMUL_SPECS = ((16, 16, 16, 8, 3, "Ns", None),
 
 
 @pytest.fixture(autouse=True)
-def _fresh_model_registry():
-    reset_model_plans()
+def _fresh_model_counters():
     reset_model_plan_counters()
-    yield
-    reset_model_plans()
 
 
 def _matmul_data(m, n, k, seed=5):
@@ -54,10 +44,14 @@ def _matmul_data(m, n, k, seed=5):
     return a, b
 
 
-def run_matmul_sequence(name="model-test-matmul", specs=MATMUL_SPECS):
-    """One ModelSession over ``specs``; returns (states, fused plan)."""
+def _step_state(counters, out, board):
+    return (counters.as_dict(), out.tobytes(),
+            warm_state_digest(board.caches), board.clock)
+
+
+def run_matmul_sequence(specs=MATMUL_SPECS):
+    """Run ``specs`` back-to-back on one board; return per-step states."""
     board = make_pynq_z2()
-    session = ModelSession(name, board)
     states = []
     for spec in specs:
         m, n, k, size, version, flow, accel = spec
@@ -69,18 +63,16 @@ def run_matmul_sequence(name="model-test-matmul", specs=MATMUL_SPECS):
         ).compile_matmul(m, n, k)
         a, b = _matmul_data(m, n, k)
         c = np.zeros((m, n), np.int32)
-        counters = session.run(kernel, a, b, c, step_key=("mm",) + spec)
+        counters = kernel.run(board, a, b, c)
         expected = (a.astype(np.int64) @ b.astype(np.int64))
         assert np.array_equal(c, expected)
-        states.append((counters.as_dict(), c.tobytes(),
-                       warm_state_digest(board.caches), board.clock))
-    return states, session.finish()
+        states.append(_step_state(counters, c, board))
+    return states
 
 
-def run_conv_sequence(name="model-test-conv"):
-    """A manual step and a generated step sharing one warm board."""
+def run_conv_sequence():
+    """A manual conv step, then a generated one, sharing one board."""
     board = make_pynq_z2()
-    session = ModelSession(name, board)
     rng = np.random.default_rng(23)
     image = rng.integers(-4, 4, (1, 4, 8, 8)).astype(np.int32)
     weights = rng.integers(-4, 4, (2, 4, 3, 3)).astype(np.int32)
@@ -89,13 +81,9 @@ def run_conv_sequence(name="model-test-conv"):
 
     out = np.zeros((1, 2, 6, 6), np.int32)
     board.attach_accelerator(ConvAccelerator(max_ic=4, max_fhw=3))
-    counters = manual_conv_driver(
-        board, image, weights, out, 1,
-        plan_source=session.plan_source(("manual-conv",)),
-    )
+    counters = manual_conv_driver(board, image, weights, out, 1)
     assert np.array_equal(out, expected)
-    states.append((counters.as_dict(), out.tobytes(),
-                   warm_state_digest(board.caches), board.clock))
+    states.append(_step_state(counters, out, board))
 
     hw, info = make_conv_system(4, 3)
     board.attach_accelerator(hw)
@@ -103,115 +91,10 @@ def run_conv_sequence(name="model-test-conv"):
         info, kernel_cache=KernelCache()
     ).compile_conv(1, 4, 8, 2, 3, 1)
     out = np.zeros((1, 2, 6, 6), np.int32)
-    counters = session.run(kernel, image, weights, out,
-                           step_key=("gen-conv",))
+    counters = kernel.run(board, image, weights, out)
     assert np.array_equal(out, expected)
-    states.append((counters.as_dict(), out.tobytes(),
-                   warm_state_digest(board.caches), board.clock))
-    return states, session.finish()
-
-
-class TestFusedBitIdentity:
-    @pytest.mark.ambient_faults_incompatible
-    def test_matmul_record_and_replay_match_per_kernel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_MODEL_PLAN", "1")
-        kill, none_plan = run_matmul_sequence()
-        assert none_plan is None
-        assert MODEL_PLAN_COUNTERS["model_plan_fallback"] == \
-            len(MATMUL_SPECS)
-        monkeypatch.delenv("REPRO_NO_MODEL_PLAN")
-
-        recorded, plan = run_matmul_sequence()
-        assert MODEL_PLAN_COUNTERS["model_plan_misses"] == 1
-        assert plan is not None and len(plan) == len(MATMUL_SPECS)
-
-        replayed, plan2 = run_matmul_sequence()
-        assert MODEL_PLAN_COUNTERS["model_plan_hits"] == 1
-        assert MODEL_PLAN_COUNTERS["model_plan_step_hits"] == \
-            len(MATMUL_SPECS)
-        assert plan2 is plan
-
-        assert kill == recorded == replayed
-
-    @pytest.mark.ambient_faults_incompatible
-    def test_conv_manual_and_generated_steps_fuse(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_MODEL_PLAN", "1")
-        kill, _ = run_conv_sequence()
-        monkeypatch.delenv("REPRO_NO_MODEL_PLAN")
-        recorded, plan = run_conv_sequence()
-        replayed, _ = run_conv_sequence()
-        assert kill == recorded == replayed
-        # Both the manual-driver step and the generated step recorded
-        # fused sub-plans, and both replayed from them.
-        assert plan is not None and len(plan) == 2
-        assert MODEL_PLAN_COUNTERS["model_plan_step_hits"] == 2
-
-    @pytest.mark.ambient_faults_incompatible
-    def test_timeline_is_stitched_per_step_end_states(self):
-        _, plan = run_matmul_sequence()
-        timeline = plan.timeline()
-        assert timeline.shape == (len(MATMUL_SPECS), 9)
-        # Absolute end states: clock (column 5) advances monotonically.
-        assert np.all(np.diff(timeline[:, 5]) > 0)
-        # Replaying yields the identical fused timeline.
-        _, plan2 = run_matmul_sequence()
-        assert np.array_equal(plan2.timeline(), timeline)
-
-    @pytest.mark.ambient_faults_incompatible
-    def test_divergence_keeps_prefix_and_rerecords(self, monkeypatch):
-        run_matmul_sequence()
-        diverged_specs = (MATMUL_SPECS[0],
-                          (16, 32, 16, 8, 3, "Bs", None))
-        monkeypatch.setenv("REPRO_NO_MODEL_PLAN", "1")
-        kill, _ = run_matmul_sequence(specs=diverged_specs)
-        monkeypatch.delenv("REPRO_NO_MODEL_PLAN")
-        reset_model_plan_counters()
-        live, plan = run_matmul_sequence(specs=diverged_specs)
-        assert MODEL_PLAN_COUNTERS["model_plan_divergence"] == 1
-        assert MODEL_PLAN_COUNTERS["model_plan_step_hits"] == 1
-        assert MODEL_PLAN_COUNTERS["model_plan_misses"] == 1
-        assert live == kill
-        assert plan is not None and len(plan) == 2
-        # The re-recorded plan replays cleanly on the next session.
-        again, _ = run_matmul_sequence(specs=diverged_specs)
-        assert again == live
-        assert MODEL_PLAN_COUNTERS["model_plan_hits"] == 1
-
-    def test_fault_site_forces_per_kernel_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_MODEL_PLAN", "1")
-        kill, _ = run_matmul_sequence()
-        monkeypatch.delenv("REPRO_NO_MODEL_PLAN")
-        monkeypatch.setenv("REPRO_FAULTS", "model.plan:fail@1.0")
-        faulted, plan = run_matmul_sequence()
-        assert plan is None
-        assert MODEL_PLAN_COUNTERS["model_plan_fallback"] >= \
-            len(MATMUL_SPECS)
-        assert faulted == kill
-
-
-class TestCrossCheck:
-    def test_metrics_check_implies_model_check(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MODEL_CHECK", raising=False)
-        monkeypatch.setenv("REPRO_METRICS_CHECK", "1")
-        assert model_check_requested()
-
-    @pytest.mark.ambient_faults_incompatible
-    def test_clean_replay_passes_under_check(self, monkeypatch):
-        run_matmul_sequence()
-        monkeypatch.setenv("REPRO_MODEL_CHECK", "1")
-        replayed, _ = run_matmul_sequence()
-        assert MODEL_PLAN_COUNTERS["model_plan_step_hits"] == \
-            len(MATMUL_SPECS)
-
-    @pytest.mark.ambient_faults_incompatible
-    def test_tampered_sub_plan_raises(self, monkeypatch):
-        _, plan = run_matmul_sequence()
-        tampered = plan.steps[1][1]
-        tampered.final_state = \
-            np.asarray(tampered.final_state, dtype=np.float64) + 1.0
-        monkeypatch.setenv("REPRO_MODEL_CHECK", "1")
-        with pytest.raises(ModelPlanMismatch):
-            run_matmul_sequence()
+    states.append(_step_state(counters, out, board))
+    return states
 
 
 class TestWarmStateCarry:
@@ -238,8 +121,7 @@ class TestWarmStateCarry:
             boards.append(board)
         return states, boards
 
-    def test_second_step_sees_warm_state(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_MODEL_PLAN", "1")
+    def test_second_step_sees_warm_state(self):
         cold, cold_boards = self._step_pair(shared_board=False)
         warm, warm_boards = self._step_pair(shared_board=True)
         # Identical kernel, identical data: only the carried board
@@ -257,74 +139,33 @@ class TestWarmStateCarry:
         assert warm_state_digest(cold_boards[1].caches) == \
             warm_state_digest(cold_boards[0].caches)
 
-    def test_session_path_equals_shared_board_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_MODEL_PLAN", "1")
-        warm, _ = self._step_pair(shared_board=True)
-        monkeypatch.delenv("REPRO_NO_MODEL_PLAN")
-        spec = (32, 32, 32, 8, 3, "Ns", None)
-        session_states, _ = run_matmul_sequence(
-            name="warm-carry", specs=(spec, spec))
-        assert [s[0] for s in session_states] == warm
-
 
 class TestPersistence:
     @pytest.mark.ambient_faults_incompatible
-    def test_store_roundtrip_replays_from_disk(self, monkeypatch,
-                                               tmp_path):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
-        recorded, plan = run_matmul_sequence(name="persisted")
-        entries = list((tmp_path / "objects").rglob("model-*.entry"))
-        assert len(entries) == 1
-        # Forget the in-memory registry: the next session must come
-        # back bit-identical from the persisted fused plan.
-        reset_model_plans()
-        reset_model_plan_counters()
-        replayed, plan2 = run_matmul_sequence(name="persisted")
-        assert MODEL_PLAN_COUNTERS["model_plan_step_hits"] == \
-            len(MATMUL_SPECS)
-        assert replayed == recorded
-        assert np.array_equal(plan2.timeline(), plan.timeline())
-
-    @pytest.mark.ambient_faults_incompatible
-    def test_stale_schema_evicts_only_the_model_plan(self, monkeypatch,
-                                                     tmp_path):
-        from repro.compiler import KERNEL_STORE_VERSION
-        from repro.execution.model_plan import _store_entry_name
-        from repro.store import KernelStore
+    def test_warm_model_run_writes_nothing(self, monkeypatch, tmp_path):
+        """A model re-run against a filled store is all plan hits and
+        rewrites no entry: every kernel's first replay persisted its
+        metrics plans, so a fresh process finds them on disk."""
+        from repro.compiler import default_kernel_cache
+        from repro.execution.metrics import METRICS_PLAN_COUNTERS
+        from repro.experiments.harness import run_matmul_model
+        from repro.store import STORE_COUNTERS
 
         monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
-        run_matmul_sequence(name="stale-schema")
-        objects = tmp_path / "objects"
-        kernel_entries = sorted(objects.rglob("kernel-*.entry"))
-        assert kernel_entries  # generated kernels persisted alongside
-        # Overwrite the model entry with a stale-schema payload.
-        store = KernelStore(tmp_path)
-        entry = _store_entry_name("stale-schema")
-        assert store.store(entry, {"store_version": KERNEL_STORE_VERSION,
-                                   "model_schema": -1, "plan": None})
-        reset_model_plans()
-        reset_model_plan_counters()
-        rerecorded, plan = run_matmul_sequence(name="stale-schema")
-        assert MODEL_PLAN_COUNTERS["model_plan_stale"] == 1
-        assert MODEL_PLAN_COUNTERS["model_plan_step_hits"] == 0
-        assert MODEL_PLAN_COUNTERS["model_plan_misses"] == 1
-        assert plan is not None
-        # Eviction was surgical: every kernel entry survived.
-        assert sorted(objects.rglob("kernel-*.entry")) == kernel_entries
-
-    def test_foreign_fingerprint_leaves_entry_alone(self, monkeypatch,
-                                                    tmp_path):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
-        run_matmul_sequence(name="foreign")
-        reset_model_plans()
-        # Same model name, different start state: the persisted plan's
-        # fingerprint cannot match, but it is not *stale* — the session
-        # records its own run and the entry is not quarantined.
-        board = make_pynq_z2()
-        board.caches.l1.access_line(7)  # perturb the start state
-        session = ModelSession("foreign", board)
-        assert session._plan is None
-        assert MODEL_PLAN_COUNTERS["model_plan_stale"] == 0
+        default_kernel_cache().clear()
+        cold = run_matmul_model(MATMUL_SPECS)
+        # Drop the in-memory kernels: the next run loads from disk.
+        default_kernel_cache().clear()
+        writes = STORE_COUNTERS["store_writes"]
+        hits = METRICS_PLAN_COUNTERS["metrics_plan_hits"]
+        misses = METRICS_PLAN_COUNTERS["metrics_plan_misses"]
+        warm = run_matmul_model(MATMUL_SPECS)
+        default_kernel_cache().clear()
+        assert STORE_COUNTERS["store_writes"] == writes
+        assert METRICS_PLAN_COUNTERS["metrics_plan_hits"] == \
+            hits + len(MATMUL_SPECS)
+        assert METRICS_PLAN_COUNTERS["metrics_plan_misses"] == misses
+        assert [c.as_dict() for c in warm] == [c.as_dict() for c in cold]
 
 
 class TestWorkerPool:
@@ -339,16 +180,19 @@ class TestWorkerPool:
         inline = run_model_jobs(jobs)
         assert MODEL_PLAN_COUNTERS["model_plan_workers"] == 0
         monkeypatch.setenv("REPRO_MODEL_WORKERS", "2")
-        reset_model_plans()
         pooled = run_model_jobs(jobs)
         assert [[c.as_dict() for c in r] for r in pooled] == \
             [[c.as_dict() for c in r] for r in inline]
 
     def test_pool_merges_worker_diagnostics(self, monkeypatch):
+        from repro.compiler import default_kernel_cache
         from repro.execution import STAGE_TIMINGS
         from repro.execution.metrics import METRICS_PLAN_COUNTERS
         from repro.experiments.harness import run_matmul_model
 
+        # Fresh kernels, so the workers build their metrics plans
+        # instead of hitting plans an earlier test cached in memory.
+        default_kernel_cache().clear()
         monkeypatch.setenv("REPRO_MODEL_WORKERS", "2")
         before_build = STAGE_TIMINGS["metrics_plan_build_s"]
         before_misses = METRICS_PLAN_COUNTERS["metrics_plan_misses"]
@@ -369,16 +213,3 @@ class TestWorkerPool:
         with _warnings.catch_warnings():
             _warnings.simplefilter("error")
             model_workers()  # second read: no second warning
-
-
-class TestSwitches:
-    def test_metrics_kill_switch_disables_model_plans(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_METRICS_PLAN", "1")
-        assert not model_plan_enabled()
-
-    def test_finished_session_rejects_new_steps(self):
-        board = make_pynq_z2()
-        session = ModelSession("finished", board)
-        session.finish()
-        with pytest.raises(RuntimeError, match="finished"):
-            session.run(None, step_key=("late",))

@@ -259,8 +259,6 @@ class TestTraceSources:
         assert "manual_record_s" in report["stage_timings"]
         assert "metrics_plan_build_s" in report["stage_timings"]
         assert "metrics_plan_apply_s" in report["stage_timings"]
-        assert "model_plan_build_s" in report["stage_timings"]
-        assert "model_plan_apply_s" in report["stage_timings"]
         assert set(report["trace_sources"]) == {
             "synthesized", "recorded", "synth_fallback", "disk_loaded",
             "manual_recorded", "manual_fallback",
@@ -271,10 +269,7 @@ class TestTraceSources:
             "component_memo_hits", "component_memo_misses",
         }
         assert set(report["model_plan"]) == {
-            "model_plan_hits", "model_plan_misses",
-            "model_plan_step_hits", "model_plan_fallback",
-            "model_plan_divergence", "model_plan_stale",
-            "model_plan_workers",
+            "model_plan_workers", "model_plan_step_hits",
         }
 
 
