@@ -24,12 +24,11 @@ cold-path win cannot mask a warm-path regression or vice versa.
 
 **The stage-accounting rule.**  ``per_stage_s`` entries are wall-clock
 seconds accumulated *in whichever process ran the stage*: every pool
-worker (model-replay jobs, tuning sweep points,
-service requests) snapshots the cumulative counters at job entry and
-reports the end-minus-start *delta*, which exactly one merge site
-folds back into the parent (``run_model_jobs`` per job, the sweep
-driver per reply, the service per request plus one drain-time residue
-merge per worker).  Deltas are disjoint by construction, so each
+worker (model jobs, tuning sweep points, service requests) snapshots
+the cumulative counters when it starts and reports the *delta* since
+its previous report with every reply, plus one residue delta when the
+pool closes it; the shared pool (``repro.pool.Worker``) is the one
+merge site that folds each delta back into the parent.  Deltas are disjoint by construction, so each
 stage-second is counted exactly once — never double-counted, never
 silently dropped.  Inline fallbacks accumulate directly and report no
 delta.  Two consequences for reading the numbers: (1) fanning work

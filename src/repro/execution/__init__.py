@@ -30,7 +30,6 @@ from .metrics import (
 from .model_plan import (
     MODEL_PLAN_COUNTERS,
     merge_worker_diagnostics,
-    model_workers,
     reset_model_plan_counters,
     run_model_jobs,
 )
@@ -48,13 +47,12 @@ def diagnostics() -> dict:
     replays obtained their metrics plane (cached-plan hits, fresh
     builds, kill-switch fallbacks) — a nonzero
     ``metrics_plan_fallback`` means the plan path was bypassed.
-    ``model_plan`` counts how many model-job pool workers merged their
-    deltas back.
+    ``model_plan`` counts how many pool workers (model jobs, service,
+    sweep) merged their final delta back at close.
 
-    All counters include work merged back from replay pool workers
-    (see :func:`repro.execution.model_plan.run_model_jobs`) — they are
-    totals for the work this process *observed*, not just the work it
-    did on its own threads.
+    All counters include work merged back from pool workers (see
+    :mod:`repro.pool`) — they are totals for the work this process
+    *observed*, not just the work it did on its own threads.
 
     ``store`` counts on-disk kernel-store events — ``store_corrupt`` /
     ``store_quarantined`` are distinct from ``store_misses``, so a
@@ -99,7 +97,7 @@ __all__ = [
     "METRICS_PLAN_COUNTERS", "METRICS_PLAN_SCHEMA_VERSION", "MetricsPlan",
     "MetricsPlanMismatch", "metrics_check_requested",
     "metrics_plan_enabled", "reset_metrics_plan_counters",
-    "MODEL_PLAN_COUNTERS", "merge_worker_diagnostics", "model_workers",
+    "MODEL_PLAN_COUNTERS", "merge_worker_diagnostics",
     "reset_model_plan_counters", "run_model_jobs",
     "ReplayExecutor", "replay_kernel",
     "diagnostics",

@@ -6,38 +6,29 @@ kernels see the cache warm-state the previous one left behind; every
 step obtains its metrics plane through the ordinary per-kernel
 :func:`repro.execution.metrics.obtain_plan` path.
 
-**run_model_jobs** forks independent model jobs (the manual and
-generated legs of fig16, the two fig17 strategies) into a
-``ProcessPoolExecutor`` over the shared sharded store and runs them
-concurrently.  Each worker returns its diagnostics *delta* — stage
-timings, trace/metrics/model/store/fault counters, kernel-cache stats —
-which the parent merges back under a lock, so ``stage_timings()`` and
+**run_model_jobs** runs independent model jobs (the manual and
+generated legs of fig16, the two fig17 strategies) concurrently on
+:class:`repro.pool.Worker` slots over the shared sharded store.  Each
+reply carries the worker's diagnostics *delta* — stage timings,
+trace/metrics/model/store/fault counters, kernel-cache stats — which
+the parent merges back under a lock, so ``stage_timings()`` and
 ``diagnostics()`` keep counting work that happened in workers.
-``REPRO_MODEL_WORKERS=N`` sizes the pool.
+``REPRO_WORKERS=N`` sizes the pool.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, Sequence, Tuple
 
-from .. import faults
-from ..envutil import env_int
+from .. import faults, pool
 from . import metrics
 from .trace import TRACE_COUNTERS, merge_stage_timings
 
-#: Worker-pool size for run_model_jobs (default: min(4, cpu_count)).
-MODEL_WORKERS_ENV = "REPRO_MODEL_WORKERS"
-
-#: Set in pool workers so nested run_model_jobs calls stay inline.
-_WORKER_FLAG_ENV = "_REPRO_MODEL_POOL_WORKER"
-
 #: Pool activity.
 MODEL_PLAN_COUNTERS: Dict[str, int] = {
-    "model_plan_workers": 0,     # pool workers merged back into the parent
+    "model_plan_workers": 0,     # pool workers whose close delta merged
     "model_plan_step_hits": 0,   # always 0; perfbench/leg.py reads it
 }
 
@@ -57,12 +48,6 @@ os.register_at_fork(after_in_child=_fresh_lock_after_fork)
 def reset_model_plan_counters() -> None:
     for key in MODEL_PLAN_COUNTERS:
         MODEL_PLAN_COUNTERS[key] = 0
-
-
-def model_workers() -> int:
-    """Requested pool size: REPRO_MODEL_WORKERS, else min(4, cpus)."""
-    default = max(1, min(4, os.cpu_count() or 1))
-    return env_int(MODEL_WORKERS_ENV, default, minimum=1)
 
 
 def snapshot_diagnostics() -> dict:
@@ -101,13 +86,8 @@ def _diagnostics_delta(end: dict, base: dict) -> dict:
     }
 
 
-def merge_worker_diagnostics(delta: dict, count_worker: bool = True) -> None:
-    """Fold one worker's diagnostics delta into this process's totals.
-
-    ``count_worker=False`` merges without advancing the
-    ``model_plan_workers`` tally — the service layer reports one delta
-    per *request* and counts each worker process exactly once itself.
-    """
+def merge_worker_diagnostics(delta: dict) -> None:
+    """Fold one worker's diagnostics delta into this process's totals."""
     from ..compiler import default_kernel_cache
     from ..store import STORE_COUNTERS
 
@@ -129,53 +109,50 @@ def merge_worker_diagnostics(delta: dict, count_worker: bool = True) -> None:
         merge_tuning_counters(delta["tuning"])
     faults.merge_fault_counters(delta.get("faults", {}))
     default_kernel_cache().merge_stats(delta.get("kernel_cache", {}))
-    if count_worker:
+
+
+def count_pool_worker() -> None:
+    """Count one pool worker whose close delta was merged."""
+    with _MERGE_LOCK:
         MODEL_PLAN_COUNTERS["model_plan_workers"] += 1
 
 
-def _init_worker() -> None:
-    os.environ[_WORKER_FLAG_ENV] = "1"
-
-
-def _pool_entry(fn: Callable, args: tuple):
-    """Worker-side wrapper: run the job, return (result, counter delta).
-
-    Forked workers inherit the parent's cumulative counters, so the
-    delta against the at-entry snapshot is exactly the work this job
-    did — the parent merges it and loses nothing to process isolation.
-    """
-    base = snapshot_diagnostics()
-    result = fn(*args)
-    return result, _diagnostics_delta(snapshot_diagnostics(), base)
+def _run_job(job: dict) -> dict:
+    """Pool handler: one model job; an exception travels back pickled."""
+    try:
+        return {"ok": True, "result": job["fn"](*job["args"])}
+    except Exception as exc:
+        return {"ok": False, "error": exc}
 
 
 def run_model_jobs(jobs: Sequence[Tuple[Callable, tuple]]) -> list:
     """Run independent model jobs, in parallel when the pool allows.
 
-    ``jobs`` is a sequence of ``(callable, args)`` pairs; both must be
-    picklable (module-level functions, plain-data args).  Results come
-    back in submission order.  Falls back to inline sequential execution
-    — bit-identical, the jobs are deterministic — when the pool is
-    sized <= 1, fork is unavailable, or we are already inside a worker.
+    ``jobs`` is a sequence of ``(callable, args)`` pairs; results come
+    back in submission order, and a job's exception is re-raised here.
+    Falls back to inline sequential execution — bit-identical, the jobs
+    are deterministic — when the pool is sized <= 1 or cannot fork.
     """
     jobs = list(jobs)
-    workers = min(model_workers(), len(jobs))
-    if (workers <= 1 or os.environ.get(_WORKER_FLAG_ENV)
-            or "fork" not in multiprocessing.get_all_start_methods()):
+    size = min(pool.pool_size(), len(jobs))
+    if size <= 1 or not pool.can_fork():
         return [fn(*args) for fn, args in jobs]
-    # Load the native fast path once in the parent: forked workers
-    # inherit the compiled library instead of each re-running the C
-    # compiler probe (~0.2s of duplicated subprocess work per worker).
-    from ..soc._native import native_lib
-
-    native_lib()
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context,
-                             initializer=_init_worker) as pool:
-        futures = [pool.submit(_pool_entry, fn, args) for fn, args in jobs]
-        results = []
-        for future in futures:
-            result, delta = future.result()
-            merge_worker_diagnostics(delta)
-            results.append(result)
+    workers = [pool.Worker(index, _run_job) for index in range(size)]
+    replies = []
+    try:
+        for start in range(0, len(jobs), size):
+            wave = list(zip(workers, jobs[start:start + size]))
+            for worker, (fn, args) in wave:
+                worker.send({"fn": fn, "args": args})
+            replies.extend(worker.recv() for worker, _ in wave)
+    finally:
+        for worker in workers:
+            worker.close()
+    results = []
+    for reply in replies:
+        if reply is None:
+            raise RuntimeError("a model-job worker died")
+        if not reply["ok"]:
+            raise reply["error"]
+        results.append(reply["result"])
     return results

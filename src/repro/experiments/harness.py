@@ -8,7 +8,7 @@ configurations, and the simulations are deterministic.
 The model figures (fig16/fig17) instead run whole kernel *sequences*
 through the ``run_*_model`` runners below: one shared board per model
 (cache warm-state carries between layers) and independent models
-dispatched onto the model-job worker pool.
+dispatched onto the shared fork pool (:mod:`repro.pool`).
 
 Compilation goes through the process-wide kernel cache
 (:func:`repro.compiler.default_kernel_cache`): figures that sweep the
@@ -53,7 +53,7 @@ def kernel_cache_stats() -> dict:
 def stage_timings() -> dict:
     """Cumulative compile / trace-record / replay seconds this process.
 
-    Includes per-stage deltas merged back from replay pool workers
+    Includes per-stage deltas merged back from pool workers
     (:func:`repro.execution.run_model_jobs`), so multiprocess figure
     harnesses report the work done, not just the fraction done in the
     parent process.
@@ -236,7 +236,7 @@ def measure_cpu_conv(layer) -> PerfCounters:
 # warm-state carries between layers (the OfflineLruSimulator starts each
 # step from the previous step's live LRU contents).  Each step takes the
 # ordinary per-kernel metrics-plan path.  The runners are module-level
-# so run_model_jobs can fork them into pool workers.
+# so run_model_jobs can pickle them over a pool worker's pipe.
 
 @lru_cache(maxsize=None)
 def _conv_golden(layer) -> np.ndarray:

@@ -26,7 +26,7 @@ def main(argv=None) -> int:
                         help="Unix socket path (default: fresh tempdir)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes (default: "
-                             "REPRO_SERVICE_WORKERS)")
+                             "REPRO_WORKERS or min(4, cpus))")
     parser.add_argument("--queue-max", type=int, default=None,
                         help="admission queue bound (default: "
                              "REPRO_SERVICE_QUEUE_MAX)")

@@ -32,14 +32,18 @@ The robustness ladder, top to bottom:
   it.
 * **Crash recovery** — a worker death (including injected
   ``service.worker:crash`` faults) is detected on its pipe, the worker
-  is restarted deterministically, and the request is requeued at the
-  front of the queue; past the requeue budget the client gets
-  ``WORKER_CRASH``.
+  is restarted deterministically in the same slot, and the request is
+  requeued at the front of the queue; past the requeue budget the
+  client gets ``WORKER_CRASH``.
 * **Graceful drain** — :meth:`ServiceServer.drain` (SIGTERM in the
   ``python -m repro.service`` runner) stops admissions, finishes every
-  in-flight request, collects each worker's final diagnostics delta,
-  and merges them into :func:`repro.execution.diagnostics` exactly as
-  ``run_model_jobs`` merges pool workers.
+  in-flight request, then closes each worker through the shared pool's
+  handshake (:meth:`repro.pool.Worker.close`), which merges its final
+  diagnostics delta into :func:`repro.execution.diagnostics`.
+
+Workers are :class:`repro.pool.Worker` slots, sized by ``REPRO_WORKERS``;
+where fork is unavailable, each slot's dispatcher runs jobs inline
+through the same :func:`repro.service.worker.execute`.
 
 ``health``/``stats`` RPCs expose queue depth, breaker states, fault
 counters, and the full diagnostics bundle for observability.
@@ -48,7 +52,6 @@ counters, and the full diagnostics bundle for observability.
 from __future__ import annotations
 
 import collections
-import multiprocessing
 import os
 import socket
 import tempfile
@@ -57,15 +60,15 @@ import time
 import uuid
 from typing import Any, Dict, List, Optional, Tuple
 
-from .. import faults
+from .. import faults, pool
 from ..envutil import env_float, env_int
-from ..execution.model_plan import merge_worker_diagnostics
+# Unused here: perfbench's tracer wraps this module attribute.
+from ..execution.model_plan import merge_worker_diagnostics  # noqa: F401
 from . import errors, protocol
 from .breaker import CircuitBreaker
-from .worker import run_request, worker_main
+from .worker import execute, serve
 
 #: Env knobs (see README switch matrix).
-WORKERS_ENV = "REPRO_SERVICE_WORKERS"
 QUEUE_MAX_ENV = "REPRO_SERVICE_QUEUE_MAX"
 TIMEOUT_ENV = "REPRO_SERVICE_TIMEOUT_S"
 BREAKER_THRESHOLD_ENV = "REPRO_SERVICE_BREAKER_THRESHOLD"
@@ -163,40 +166,13 @@ class _Pending:
         self.responded = False
 
 
-class _WorkerHandle:
-    """One forked pool worker and its duplex pipe."""
-
-    def __init__(self, index: int, context) -> None:
-        self.index = index
-        self._context = context
-        self.conn, child_conn = context.Pipe(duplex=True)
-        self.process = context.Process(
-            target=worker_main, args=(child_conn, index), daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-    def kill(self) -> None:
-        try:
-            self.process.kill()
-        except (OSError, AttributeError):
-            pass
-        self.process.join(timeout=5)
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-
-
 class ServiceServer:
     """The long-lived compile/simulate service (see module docstring).
 
     Construct, :meth:`start`, hand :attr:`address` to clients, and
     :meth:`drain` when done.  All knobs fall back to ``REPRO_SERVICE_*``
-    environment variables, then to defaults.
+    environment variables (``workers``: ``REPRO_WORKERS``), then to
+    defaults.
     """
 
     def __init__(self, socket_path: Optional[str] = None,
@@ -206,8 +182,7 @@ class ServiceServer:
                  breaker_threshold: Optional[int] = None,
                  breaker_cooldown_s: Optional[float] = None) -> None:
         self.socket_path = socket_path
-        self.workers = workers if workers is not None else env_int(
-            WORKERS_ENV, max(1, min(4, os.cpu_count() or 1)), minimum=1)
+        self.workers = pool.pool_size(workers)
         self.queue_max = queue_max if queue_max is not None else env_int(
             QUEUE_MAX_ENV, _DEFAULT_QUEUE_MAX, minimum=1)
         self.timeout_s = timeout_s if timeout_s is not None else env_float(
@@ -232,12 +207,12 @@ class ServiceServer:
         self._stopped = False
         self._listener: Optional[socket.socket] = None
         self._threads: List[threading.Thread] = []
-        self._handles: List[Optional[_WorkerHandle]] = []
+        self._handles: List[Optional[pool.Worker]] = []
         self._tmpdir: Optional[str] = None
-        self._fork_ok = \
-            "fork" in multiprocessing.get_all_start_methods()
-        self._context = multiprocessing.get_context("fork") \
-            if self._fork_ok else None
+        self._fork_ok = pool.can_fork()
+        # No-fork slots share this process's store counters, so they run
+        # one at a time: each job's seam evidence is then its own.
+        self._inline_lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------
     @property
@@ -254,13 +229,7 @@ class ServiceServer:
         self._listener.bind(self.socket_path)
         self._listener.listen(128)
         if self._fork_ok:
-            # Prewarm the native fast path once: forked workers inherit
-            # the compiled library instead of re-probing the C compiler
-            # (same trick as run_model_jobs).
-            from ..soc._native import native_lib
-
-            native_lib()
-            self._handles = [_WorkerHandle(i, self._context)
+            self._handles = [pool.Worker(i, serve)
                              for i in range(self.workers)]
         else:
             self._handles = [None] * self.workers
@@ -299,31 +268,10 @@ class ServiceServer:
         for thread in self._threads:
             if thread is not threading.current_thread():
                 thread.join(timeout=5)
-        # Dispatchers are parked; the pipes are ours now.  The shutdown
-        # handshake collects each worker's final diagnostics delta.
+        # Dispatchers are parked; the pipes are ours now.
         for handle in self._handles:
-            if handle is None:
-                continue
-            delta = None
-            try:
-                handle.conn.send({"op": "shutdown"})
-                if handle.conn.poll(5):
-                    reply = handle.conn.recv()
-                    if isinstance(reply, dict) and reply.get("op") == "bye":
-                        delta = reply.get("delta")
-            except (OSError, EOFError, BrokenPipeError):
-                pass
-            if delta:
-                merge_worker_diagnostics(delta, count_worker=True)
+            if handle is not None and handle.close():
                 _count("service_workers_merged")
-            handle.process.join(timeout=5)
-            if handle.process.is_alive():
-                handle.kill()
-            else:
-                try:
-                    handle.conn.close()
-                except OSError:
-                    pass
         with self._cond:
             self._stopped = True
         return self._summary()
@@ -555,7 +503,7 @@ class ServiceServer:
         if self._handles[index] is None and self._fork_ok:
             # Deterministic restart point: a fresh worker at the same
             # slot, forked from the same parent image.
-            self._handles[index] = _WorkerHandle(index, self._context)
+            self._handles[index] = pool.Worker(index, serve)
             _count("service_worker_restarts")
         reply = self._run_job(index, job, pending)
         if reply is None:
@@ -571,7 +519,7 @@ class ServiceServer:
                 # keeps its capacity, and a crash on a slot's *last*
                 # job doesn't leave the slot dead at drain time (its
                 # replacement's delta still gets merged).
-                self._handles[index] = _WorkerHandle(index, self._context)
+                self._handles[index] = pool.Worker(index, serve)
                 _count("service_worker_restarts")
             if pending.responded:
                 return
@@ -594,15 +542,12 @@ class ServiceServer:
         if native_verdict["enabled"]:
             self.native_breaker.record(bool(reply.get("native_ok", True)),
                                        probe=native_verdict["probe"])
-        delta = reply.get("delta")
-        if delta:
-            merge_worker_diagnostics(delta, count_worker=False)
         if reply.get("ok"):
             self._finish(pending, {
                 "status": "ok",
                 "counters": reply.get("counters"),
                 "output": reply.get("output"),
-                "worker": reply.get("worker", index),
+                "worker": index,
             })
         else:
             code = reply.get("code", errors.INTERNAL)
@@ -624,10 +569,11 @@ class ServiceServer:
         """
         handle = self._handles[index]
         if handle is None:
-            return self._run_inline(job)
-        try:
-            handle.conn.send(job)
-        except (OSError, BrokenPipeError):
+            # No-fork platforms: run the job in this thread (ladder
+            # rung).  Counters advance directly in this process.
+            with self._inline_lock:
+                return execute(job)
+        if not handle.send(job):
             return None
         timed_out = False
         while True:
@@ -643,43 +589,15 @@ class ServiceServer:
             wait = _KILL_GRACE_S if timed_out else max(0.01, remaining)
             try:
                 if handle.conn.poll(wait):
-                    reply = handle.conn.recv()
-                    if not isinstance(reply, dict):
-                        return None
-                    return reply
-            except (OSError, EOFError):
+                    return handle.recv()
+            except OSError:
                 return None
-            if not handle.alive():
+            if not handle.process.is_alive():
                 return None
             if timed_out:
                 # The worker ignored its cooperative checkpoints for a
                 # whole grace window: recycle the slot.
                 return None
-
-    def _run_inline(self, job: dict) -> dict:
-        """No-fork platforms: run the job in this thread (ladder rung).
-
-        Counters advance directly in this process, so no delta is
-        reported (merging one would double-count).
-        """
-        from ..soc._native import native_status
-        from .worker import _seam_overrides
-
-        reply: Dict[str, Any] = {"op": "result", "worker": -1, "ok": False,
-                                 "store_failures": 0}
-        try:
-            with _seam_overrides(job.get("disable_store", False),
-                                 job.get("disable_native", False)):
-                counters, output = run_request(job["spec"],
-                                               job.get("deadline"))
-            reply.update(ok=True, counters=counters, output=output)
-        except errors.ServiceError as exc:
-            reply.update(code=exc.code, message=str(exc))
-        except Exception as exc:  # pragma: no cover - defensive
-            reply.update(code=errors.INTERNAL, message=repr(exc))
-        reply["native_ok"] = native_status()["status"] not in (
-            "compile-failed", "load-failed", "fault-injected")
-        return reply
 
     # -- observability -----------------------------------------------------
     def health(self) -> dict:

@@ -73,7 +73,7 @@ def main(argv=None) -> int:
     parser.add_argument("--cpu-tiling", action="store_true",
                         help="also sweep host cache tiling on/off")
     parser.add_argument("--workers", type=int, default=None,
-                        help="pool size (default: REPRO_TUNING_WORKERS "
+                        help="pool size (default: REPRO_WORKERS "
                              "or min(4, cpus))")
     parser.add_argument("--deadline-s", type=float, default=None,
                         help="per-point deadline (default: "

@@ -14,9 +14,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "repro"
 README = ROOT / "README.md"
 
-#: Set inside model-pool workers by the package itself; not a user knob.
-INTERNAL = {"_REPRO_MODEL_POOL_WORKER"}
-
 _KNOB = re.compile(r"_?REPRO_[A-Z0-9_]+")
 _TABLE_ROW = re.compile(r"^\|\s*`(REPRO_[A-Z0-9_]+)")
 
@@ -31,7 +28,7 @@ def source_knobs():
                     and isinstance(node.value, str) \
                     and _KNOB.fullmatch(node.value):
                 knobs.add(node.value)
-    return knobs - INTERNAL
+    return knobs
 
 
 def readme_table_knobs():

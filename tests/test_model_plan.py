@@ -20,7 +20,6 @@ from repro.baselines import cpu_conv, manual_conv_driver
 from repro.compiler import AXI4MLIRCompiler, KernelCache
 from repro.execution import (
     MODEL_PLAN_COUNTERS,
-    model_workers,
     reset_model_plan_counters,
     run_model_jobs,
 )
@@ -176,10 +175,10 @@ class TestWorkerPool:
         specs_b = (MATMUL_SPECS[1],)
         jobs = [(run_matmul_model, (specs_a,)),
                 (run_matmul_model, (specs_b,))]
-        monkeypatch.setenv("REPRO_MODEL_WORKERS", "1")
+        monkeypatch.setenv("REPRO_WORKERS", "1")
         inline = run_model_jobs(jobs)
         assert MODEL_PLAN_COUNTERS["model_plan_workers"] == 0
-        monkeypatch.setenv("REPRO_MODEL_WORKERS", "2")
+        monkeypatch.setenv("REPRO_WORKERS", "2")
         pooled = run_model_jobs(jobs)
         assert [[c.as_dict() for c in r] for r in pooled] == \
             [[c.as_dict() for c in r] for r in inline]
@@ -193,7 +192,7 @@ class TestWorkerPool:
         # Fresh kernels, so the workers build their metrics plans
         # instead of hitting plans an earlier test cached in memory.
         default_kernel_cache().clear()
-        monkeypatch.setenv("REPRO_MODEL_WORKERS", "2")
+        monkeypatch.setenv("REPRO_WORKERS", "2")
         before_build = STAGE_TIMINGS["metrics_plan_build_s"]
         before_misses = METRICS_PLAN_COUNTERS["metrics_plan_misses"]
         run_model_jobs([(run_matmul_model, ((MATMUL_SPECS[0],),)),
@@ -204,12 +203,3 @@ class TestWorkerPool:
         assert STAGE_TIMINGS["metrics_plan_build_s"] > before_build
         assert METRICS_PLAN_COUNTERS["metrics_plan_misses"] > \
             before_misses
-
-    def test_malformed_worker_count_warns_once(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MODEL_WORKERS", "three-ish")
-        with pytest.warns(RuntimeWarning, match="REPRO_MODEL_WORKERS"):
-            assert model_workers() >= 1
-        import warnings as _warnings
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            model_workers()  # second read: no second warning

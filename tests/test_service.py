@@ -45,7 +45,7 @@ def _clean_service_env(monkeypatch):
     into forked workers."""
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_FAULTS_SEED", raising=False)
-    for var in ("REPRO_SERVICE_WORKERS", "REPRO_SERVICE_QUEUE_MAX",
+    for var in ("REPRO_WORKERS", "REPRO_SERVICE_QUEUE_MAX",
                 "REPRO_SERVICE_TIMEOUT_S"):
         monkeypatch.delenv(var, raising=False)
     faults.reset_faults()
@@ -487,7 +487,7 @@ class TestService:
         finally:
             server.drain()
 
-    def test_store_breaker_trips_on_injected_store_failures(
+    def test_store_breaker_trips_on_injected_write_errors(
             self, monkeypatch, tmp_path):
         from repro.compiler import default_kernel_cache
 
@@ -522,6 +522,92 @@ class TestService:
                 == result_tuple(*run_request(dict(spec)))
         finally:
             server.drain()
+
+    def test_inline_write_errors_trip_the_store_breaker(
+            self, monkeypatch, tmp_path):
+        from repro.compiler import default_kernel_cache
+
+        # No fork: every slot runs its jobs inline, and must report the
+        # same seam evidence a forked worker does.
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        default_kernel_cache().clear()
+        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path / "s"))
+        monkeypatch.setenv("REPRO_FAULTS", "store.write:io")
+        server = ServiceServer(workers=1, breaker_threshold=2,
+                               breaker_cooldown_s=60.0).start()
+        try:
+            specs = [matmul_spec(m=m, seed=seed)
+                     for seed, m in ((4, 8), (5, 12))]
+            with ServiceClient(server.address) as client:
+                replies = [client.submit(spec) for spec in specs]
+                store = client.health()["breakers"]["store"]
+            assert store["state"] == "open"
+            assert store["trips"] == 1
+        finally:
+            server.drain()
+        monkeypatch.delenv("REPRO_FAULTS")
+        monkeypatch.delenv("REPRO_KERNEL_CACHE_DIR")
+        faults.reset_faults()
+        for spec, reply in zip(specs, replies):
+            assert result_tuple(reply["counters"], reply["output"]) \
+                == result_tuple(*run_request(dict(spec)))
+
+    def test_inline_slots_report_only_their_own_write_errors(
+            self, monkeypatch, tmp_path):
+        import threading
+
+        from repro.service import worker
+        from repro.store import STORE_COUNTERS
+
+        # Two no-fork slots, one store-write failure: the breaker must
+        # record it once, not once per request running alongside it.
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path / "s"))
+        real_run_request = worker.run_request
+        started, failed = threading.Event(), threading.Event()
+
+        def run_with_one_failure(spec, deadline=None):
+            # If the slots overlap, the failure lands while the other
+            # request is running.
+            if spec["m"] == 12:
+                started.wait(1.0)
+                STORE_COUNTERS["store_write_failures"] = \
+                    STORE_COUNTERS.get("store_write_failures", 0) + 1
+                failed.set()
+            else:
+                started.set()
+                failed.wait(1.0)
+            return real_run_request(spec, deadline)
+
+        monkeypatch.setattr(worker, "run_request", run_with_one_failure)
+        server = ServiceServer(workers=2, breaker_threshold=2,
+                               breaker_cooldown_s=60.0).start()
+        replies = {}
+
+        def submit(spec):
+            with ServiceClient(server.address) as client:
+                replies[spec["m"]] = client.submit(spec)
+
+        specs = [matmul_spec(m=m, seed=seed)
+                 for seed, m in ((6, 8), (7, 12))]
+        try:
+            threads = [threading.Thread(target=submit, args=(spec,))
+                       for spec in specs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            store = server.store_breaker.snapshot()
+            assert store["state"] == "closed"
+            assert store["trips"] == 0
+        finally:
+            server.drain()
+        for spec in specs:
+            reply = replies[spec["m"]]
+            assert result_tuple(reply["counters"], reply["output"]) \
+                == result_tuple(*real_run_request(dict(spec)))
 
     def test_drain_merges_worker_deltas_and_refuses_new_work(self):
         workers_before = MODEL_PLAN_COUNTERS.get("model_plan_workers", 0)

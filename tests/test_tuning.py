@@ -8,7 +8,6 @@ to an uninterrupted run's.
 """
 
 import json
-import os
 import warnings
 
 import pytest
@@ -26,12 +25,7 @@ from repro.tuning import (
     tuning_counters,
 )
 from repro.tuning.counters import reset_tuning_counters
-from repro.tuning.driver import (
-    TUNING_DEADLINE_ENV,
-    TUNING_WORKERS_ENV,
-    tuning_deadline_s,
-    tuning_workers,
-)
+from repro.tuning.driver import TUNING_DEADLINE_ENV, tuning_deadline_s
 from repro.tuning.space import all_permutations, group_floors
 
 SMALL = smoke_space(shapes=((8, 8, 8),), versions=(1, 2))
@@ -42,7 +36,7 @@ def _clean_tuning_env(monkeypatch):
     """Sweep tests own their fault spec and counters."""
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_FAULTS_SEED", raising=False)
-    monkeypatch.delenv(TUNING_WORKERS_ENV, raising=False)
+    monkeypatch.delenv("REPRO_WORKERS", raising=False)
     monkeypatch.delenv(TUNING_DEADLINE_ENV, raising=False)
     faults.reset_faults()
     reset_tuning_counters()
@@ -373,18 +367,7 @@ class TestDriver:
 
 class TestEnvKnobs:
     def test_defaults(self):
-        assert tuning_workers() >= 1
         assert tuning_deadline_s() == 60.0
-
-    def test_malformed_workers_warns_once_and_falls_back(
-            self, monkeypatch):
-        monkeypatch.setenv(TUNING_WORKERS_ENV, "many")
-        with pytest.warns(RuntimeWarning, match=TUNING_WORKERS_ENV):
-            value = tuning_workers()
-        assert value == max(1, min(4, os.cpu_count() or 1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert tuning_workers() == value  # one-shot: no second warning
 
     def test_malformed_deadline_warns_once_and_falls_back(
             self, monkeypatch):
@@ -396,9 +379,7 @@ class TestEnvKnobs:
             assert tuning_deadline_s() == 60.0
 
     def test_valid_values_are_used(self, monkeypatch):
-        monkeypatch.setenv(TUNING_WORKERS_ENV, "2")
         monkeypatch.setenv(TUNING_DEADLINE_ENV, "1.5")
-        assert tuning_workers() == 2
         assert tuning_deadline_s() == 1.5
 
 
