@@ -42,7 +42,7 @@ ran — a plan built in a model-replay worker lands in
 Usage (as wired in .github/workflows/ci.yml)::
 
     python benchmarks/perf_guard.py \
-        --baseline /tmp/bench_baseline.json --fresh BENCH_perf.json
+        --baseline BENCH_perf.json --fresh benchmarks/out/BENCH_perf.json
 """
 
 from __future__ import annotations

@@ -15,15 +15,11 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import counters
 from ..accelerators.matmul import MATMUL_LITERALS, VERSION_OPCODES
 from ..accelerators.conv import CONV_LITERALS
 from ..execution.replay import replay_kernel
-from ..execution.trace import (
-    TRACE_COUNTERS,
-    TraceUnsupported,
-    record_trace,
-    trace_enabled,
-)
+from ..execution.trace import TraceUnsupported, record_trace, trace_enabled
 from ..runtime import AxiRuntime, CALL_STYLE_MANUAL
 from ..soc.board import Board
 from ..soc.perf import PerfCounters
@@ -43,7 +39,7 @@ def _make_runtime(board: Board) -> AxiRuntime:
 #: ``None`` marks a body the trace machinery could not handle.
 _MANUAL_TRACES: Dict[Tuple, Optional[object]] = {}
 
-#: Configs already counted in TRACE_COUNTERS["manual_fallback"] for a
+#: Configs already counted as a ``manual_fallback`` trace source for a
 #: replay failure, so per-invocation retries (failures can be
 #: board-state-dependent, and decode results are cached on the trace)
 #: don't inflate the per-kernel accounting.
@@ -63,10 +59,10 @@ def _run_manual_body(body, rt, board, before, descriptors, key):
                     preinitialized=(_DMA_WORDS * 4, _DMA_WORDS * 4),
                     stage="manual_record_s",
                 )
-                TRACE_COUNTERS["manual_recorded"] += 1
+                counters.add("trace_sources", "manual_recorded")
             except Exception:
                 trace = None
-                TRACE_COUNTERS["manual_fallback"] += 1
+                counters.add("trace_sources", "manual_fallback")
             _MANUAL_TRACES[cache_key] = trace
         trace = _MANUAL_TRACES[cache_key]
         if trace is not None:
@@ -79,7 +75,7 @@ def _run_manual_body(body, rt, board, before, descriptors, key):
                 # attempts are cheap (decode caches its verdict).
                 if cache_key not in _MANUAL_REPLAY_FAILED:
                     _MANUAL_REPLAY_FAILED.add(cache_key)
-                    TRACE_COUNTERS["manual_fallback"] += 1
+                    counters.add("trace_sources", "manual_fallback")
     body(rt, *descriptors)
     return board.measure_since(before)
 

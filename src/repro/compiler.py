@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import counters
 from .accel_config import AcceleratorInfo, CPUInfo
 from .codegen import (
     compile_host_function,
@@ -46,11 +47,9 @@ from .execution.synthesize import (
     synthesize_trace,
 )
 from .execution.trace import (
-    STAGE_TIMINGS,
     TRACE_COUNTERS,
     TRACE_SCHEMA_VERSION,
     TraceUnsupported,
-    add_stage_time,
     record_trace,
     trace_enabled,
 )
@@ -384,7 +383,7 @@ class KernelCache:
         if trace is not None \
                 and payload.get("trace_schema") == TRACE_SCHEMA_VERSION:
             kernel.trace_state.trace = trace
-            TRACE_COUNTERS["disk_loaded"] += 1
+            counters.add("trace_sources", "disk_loaded")
             # MetricsPlans ride in their own payload slot with their own
             # schema version: a stale metrics schema evicts just the
             # plans (the trace and the lowered kernel still load), and
@@ -577,9 +576,9 @@ class CompiledKernel:
             try:
                 synthesized = synthesize_trace(self.schedule_table, specs)
             except Exception:
-                TRACE_COUNTERS["synth_fallback"] += 1
+                counters.add("trace_sources", "synth_fallback")
         if synthesized is not None and not cross_check_requested():
-            TRACE_COUNTERS["synthesized"] += 1
+            counters.add("trace_sources", "synthesized")
             return synthesized
         recorded = record_trace(
             self.entry_point, specs,
@@ -592,9 +591,9 @@ class CompiledKernel:
                     f"synthesized trace for {self.func_name!r} differs "
                     f"from the recorded one: {', '.join(mismatches)}"
                 )
-            TRACE_COUNTERS["synthesized"] += 1
+            counters.add("trace_sources", "synthesized")
             return synthesized
-        TRACE_COUNTERS["recorded"] += 1
+        counters.add("trace_sources", "recorded")
         return recorded
 
     def _run_traced(self, board, rt, descriptors) -> bool:
@@ -708,7 +707,8 @@ class AXI4MLIRCompiler:
                 schedule_table=schedule_table,
             )
         finally:
-            add_stage_time("compile_s", time.perf_counter() - start)
+            counters.add("stage_timings", "compile_s",
+                         time.perf_counter() - start)
 
     def _cache_key(self, kernel_name: str, shape: Tuple) -> Tuple:
         permutation = tuple(self.permutation) \

@@ -52,7 +52,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .. import faults
+from .. import counters, faults
 from ..runtime.copy import CopyKinds, copy_charge_terms, plan_for_geometry
 from ..soc.cache import OfflineLruSimulator, _export_ways, install_ways
 from .trace import (
@@ -65,7 +65,6 @@ from .trace import (
     K_RWAIT,
     K_SUB,
     K_WORD,
-    add_stage_time,
 )
 
 #: Kill switch: set REPRO_NO_METRICS_PLAN=1 to recompute the metrics
@@ -84,19 +83,9 @@ METRICS_CHECK_ENV = "REPRO_METRICS_CHECK"
 #: output writes) produced by the vectorized backward scans.
 METRICS_PLAN_SCHEMA_VERSION = 2
 
-#: How replays obtained their metrics plane this process:
-#: ``hits`` (a cached plan applied in O(state)), ``misses`` (built from
-#: the live metrics plane, then cached), ``fallback`` (the kill switch
-#: forced a live computation; a nonzero value under benchmark configs
-#: means the plan path was silently bypassed).
-METRICS_PLAN_COUNTERS: Dict[str, int] = {
-    "metrics_plan_hits": 0,
-    "metrics_plan_misses": 0,
-    "metrics_plan_fallback": 0,
-    #: Always 0 (no build memo); perfbench/leg.py still reads both keys.
-    "component_memo_hits": 0,
-    "component_memo_misses": 0,
-}
+#: Live view of the diagnostics registry's ``metrics_plan`` section
+#: (see :mod:`repro.counters`).
+METRICS_PLAN_COUNTERS = counters.SECTIONS["metrics_plan"]
 
 #: Cached plans kept per trace (distinct board states/layouts).
 _MAX_PLANS_PER_TRACE = 8
@@ -113,11 +102,6 @@ def metrics_plan_enabled() -> bool:
 
 def metrics_check_requested() -> bool:
     return os.environ.get(METRICS_CHECK_ENV, "") == "1"
-
-
-def reset_metrics_plan_counters() -> None:
-    for key in METRICS_PLAN_COUNTERS:
-        METRICS_PLAN_COUNTERS[key] = 0
 
 
 class MetricsPlanMismatch(RuntimeError):
@@ -235,7 +219,7 @@ def plan_fingerprint(ex, decode_key: Tuple) -> str:
     """Digest of every metrics-plane input for one replay invocation."""
     board = ex.board
     caches = board.caches
-    counters = board.counters
+    perf = board.counters
     config = (
         METRICS_PLAN_SCHEMA_VERSION,
         decode_key,
@@ -252,9 +236,9 @@ def plan_fingerprint(ex, decode_key: Tuple) -> str:
         ex.trace.init_params is None,
     )
     state = (
-        counters.cpu_cycles, counters.branch_instructions,
-        counters.cache_references, counters.stall_cycles,
-        counters.accel_cycles, board.clock, board.accel_ready_at,
+        perf.cpu_cycles, perf.branch_instructions,
+        perf.cache_references, perf.stall_cycles,
+        perf.accel_cycles, board.clock, board.accel_ready_at,
         board.dma_busy_until, board.accelerator.total_cycles,
     )
     digest = hashlib.sha256(pickle.dumps((config, state), protocol=4))
@@ -269,13 +253,13 @@ def obtain_plan(ex, decode_key: Tuple) -> MetricsPlan:
     """Look up (or build and cache) the MetricsPlan for one invocation."""
     trace = ex.trace
     if not metrics_plan_enabled() or faults.fires("metrics.plan") == "fail":
-        METRICS_PLAN_COUNTERS["metrics_plan_fallback"] += 1
+        counters.add("metrics_plan", "metrics_plan_fallback")
         return _timed_build(ex)
     key = plan_fingerprint(ex, decode_key)
     cached = trace.metrics_plans.get(key)
     if cached is not None:
         trace.metrics_plans.move_to_end(key)
-        METRICS_PLAN_COUNTERS["metrics_plan_hits"] += 1
+        counters.add("metrics_plan", "metrics_plan_hits")
         if metrics_check_requested():
             problems = diff_plans(cached, _timed_build(ex))
             if problems:
@@ -284,7 +268,7 @@ def obtain_plan(ex, decode_key: Tuple) -> MetricsPlan:
                     "plane on: " + ", ".join(problems)
                 )
         return cached
-    METRICS_PLAN_COUNTERS["metrics_plan_misses"] += 1
+    counters.add("metrics_plan", "metrics_plan_misses")
     plan = _timed_build(ex)
     trace.metrics_plans[key] = plan
     while len(trace.metrics_plans) > _MAX_PLANS_PER_TRACE:
@@ -297,7 +281,8 @@ def _timed_build(ex) -> MetricsPlan:
     try:
         return build_plan(ex)
     finally:
-        add_stage_time("metrics_plan_build_s", time.perf_counter() - start)
+        counters.add("stage_timings", "metrics_plan_build_s",
+                     time.perf_counter() - start)
 
 
 # -- plan application -------------------------------------------------------
@@ -310,25 +295,25 @@ def apply_plan(ex, plan: MetricsPlan) -> None:
     """
     start = time.perf_counter()
     board = ex.board
-    counters = board.counters
+    perf = board.counters
     fs = plan.final_state
-    counters.cpu_cycles = fs[0]
-    counters.branch_instructions = fs[1]
-    counters.cache_references = fs[2]
-    counters.stall_cycles = fs[3]
-    counters.accel_cycles = fs[4]
+    perf.cpu_cycles = fs[0]
+    perf.branch_instructions = fs[1]
+    perf.cache_references = fs[2]
+    perf.stall_cycles = fs[3]
+    perf.accel_cycles = fs[4]
     board.clock = fs[5]
     board.accel_ready_at = fs[6]
     board.dma_busy_until = fs[7]
     board.accelerator.total_cycles = fs[8]
 
     stats = plan.stats
-    counters.cache_misses += plan.l1_miss_total
-    counters.l2_references += plan.l1_miss_total
-    counters.l2_misses += plan.l2_miss_total
-    counters.dma_transactions += stats["dma_transactions"]
-    counters.dma_bytes_to_accel += stats["dma_bytes_to_accel"]
-    counters.dma_bytes_from_accel += stats["dma_bytes_from_accel"]
+    perf.cache_misses += plan.l1_miss_total
+    perf.l2_references += plan.l1_miss_total
+    perf.l2_misses += plan.l2_miss_total
+    perf.dma_transactions += stats["dma_transactions"]
+    perf.dma_bytes_to_accel += stats["dma_bytes_to_accel"]
+    perf.dma_bytes_from_accel += stats["dma_bytes_from_accel"]
 
     caches = board.caches
     _install_ways(caches.l1, plan.l1_ways)
@@ -348,7 +333,8 @@ def apply_plan(ex, plan: MetricsPlan) -> None:
     engine.transactions += stats["engine_transactions"]
     engine.bytes_sent += stats["dma_bytes_to_accel"]
     engine.bytes_received += stats["dma_bytes_from_accel"]
-    add_stage_time("metrics_plan_apply_s", time.perf_counter() - start)
+    counters.add("stage_timings", "metrics_plan_apply_s",
+                 time.perf_counter() - start)
 
 
 # -- plan construction ------------------------------------------------------
@@ -734,7 +720,7 @@ def _run_timeline(ex, cyc, br, rf, rf2) -> np.ndarray:
     trace = ex.trace
     board = ex.board
     timing = board.timing
-    counters = board.counters
+    perf = board.counters
     decoded = ex.plan
     M = trace.num_events
 
@@ -768,9 +754,9 @@ def _run_timeline(ex, cyc, br, rf, rf2) -> np.ndarray:
     db = ex.double_buffered
 
     state = [
-        counters.cpu_cycles, counters.branch_instructions,
-        counters.cache_references, counters.stall_cycles,
-        counters.accel_cycles, board.clock, board.accel_ready_at,
+        perf.cpu_cycles, perf.branch_instructions,
+        perf.cache_references, perf.stall_cycles,
+        perf.accel_cycles, board.clock, board.accel_ready_at,
         board.dma_busy_until, board.accelerator.total_cycles,
     ]
     lib = _native.native_lib()

@@ -9,63 +9,32 @@ step obtains its metrics plane through the ordinary per-kernel
 **run_model_jobs** runs independent model jobs (the manual and
 generated legs of fig16, the two fig17 strategies) concurrently on
 :class:`repro.pool.Worker` slots over the shared sharded store.  Each
-reply carries the worker's diagnostics *delta* — stage timings,
-trace/metrics/model/store/fault counters, kernel-cache stats — which
-the parent merges back under a lock, so ``stage_timings()`` and
-``diagnostics()`` keep counting work that happened in workers.
+reply carries the worker's diagnostics *delta* — every
+:mod:`repro.counters` section plus the kernel-cache stats — which the
+parent merges back, so ``stage_timings()`` and ``diagnostics()`` keep
+counting work that happened in workers.
 ``REPRO_WORKERS=N`` sizes the pool.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
-from .. import faults, pool
-from . import metrics
-from .trace import TRACE_COUNTERS, merge_stage_timings
+from .. import counters, pool
 
-#: Pool activity.
-MODEL_PLAN_COUNTERS: Dict[str, int] = {
-    "model_plan_workers": 0,     # pool workers whose close delta merged
-    "model_plan_step_hits": 0,   # always 0; perfbench/leg.py reads it
-}
-
-_MERGE_LOCK = threading.Lock()
-
-
-def _fresh_lock_after_fork() -> None:
-    # Forked children (service workers, model-pool workers) must not
-    # inherit a merge lock another parent thread held.
-    global _MERGE_LOCK
-    _MERGE_LOCK = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_fresh_lock_after_fork)
-
-
-def reset_model_plan_counters() -> None:
-    for key in MODEL_PLAN_COUNTERS:
-        MODEL_PLAN_COUNTERS[key] = 0
+#: Live view of the diagnostics registry's ``model_plan`` section
+#: (see :mod:`repro.counters`).
+MODEL_PLAN_COUNTERS = counters.SECTIONS["model_plan"]
 
 
 def snapshot_diagnostics() -> dict:
-    """Flat snapshot of every cumulative counter a worker can advance."""
+    """Every cumulative counter a worker can advance, plus the kernel
+    cache's hit/miss stats."""
     from ..compiler import default_kernel_cache
-    from ..store import STORE_COUNTERS
-    from ..tuning.counters import tuning_counters
-    from .trace import STAGE_TIMINGS
 
     cache = default_kernel_cache()
     return {
-        "stage_timings": dict(STAGE_TIMINGS),
-        "trace": dict(TRACE_COUNTERS),
-        "metrics": dict(metrics.METRICS_PLAN_COUNTERS),
-        "model": dict(MODEL_PLAN_COUNTERS),
-        "store": dict(STORE_COUNTERS),
-        "tuning": tuning_counters(),
-        "faults": faults.fault_counters(),
+        **counters.snapshot(),
         "kernel_cache": {
             "hits": cache.hits, "misses": cache.misses,
             "disk_hits": cache.disk_hits, "disk_misses": cache.disk_misses,
@@ -75,46 +44,15 @@ def snapshot_diagnostics() -> dict:
     }
 
 
-def _diagnostics_delta(end: dict, base: dict) -> dict:
-    return {
-        section: {
-            key: value - base.get(section, {}).get(key, 0)
-            for key, value in counters.items()
-            if value - base.get(section, {}).get(key, 0)
-        }
-        for section, counters in end.items()
-    }
+_diagnostics_delta = counters.delta
 
 
 def merge_worker_diagnostics(delta: dict) -> None:
     """Fold one worker's diagnostics delta into this process's totals."""
     from ..compiler import default_kernel_cache
-    from ..store import STORE_COUNTERS
 
-    merge_stage_timings(delta.get("stage_timings", {}))
-    with _MERGE_LOCK:
-        for key, value in delta.get("trace", {}).items():
-            TRACE_COUNTERS[key] = TRACE_COUNTERS.get(key, 0) + value
-        for key, value in delta.get("metrics", {}).items():
-            metrics.METRICS_PLAN_COUNTERS[key] = \
-                metrics.METRICS_PLAN_COUNTERS.get(key, 0) + value
-        for key, value in delta.get("model", {}).items():
-            MODEL_PLAN_COUNTERS[key] = \
-                MODEL_PLAN_COUNTERS.get(key, 0) + value
-        for key, value in delta.get("store", {}).items():
-            STORE_COUNTERS[key] = STORE_COUNTERS.get(key, 0) + value
-    if delta.get("tuning"):
-        from ..tuning.counters import merge_tuning_counters
-
-        merge_tuning_counters(delta["tuning"])
-    faults.merge_fault_counters(delta.get("faults", {}))
+    counters.merge(delta)
     default_kernel_cache().merge_stats(delta.get("kernel_cache", {}))
-
-
-def count_pool_worker() -> None:
-    """Count one pool worker whose close delta was merged."""
-    with _MERGE_LOCK:
-        MODEL_PLAN_COUNTERS["model_plan_workers"] += 1
 
 
 def _run_job(job: dict) -> dict:

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .. import faults
+from .. import counters, faults
 from ..accelerators.conv import ConvAccelerator
 from ..accelerators.matmul import MatMulAccelerator
 from ..numerics import float64_exact_bound, max_abs
@@ -49,9 +49,7 @@ from . import metrics
 from .trace import (
     DecodedPlan,
     DriverTrace,
-    STAGE_TIMINGS,
     TraceUnsupported,
-    add_stage_time,
     _tile_indices,
     decode_for_accelerator,
     decode_key,
@@ -80,7 +78,8 @@ def replay_kernel(trace: DriverTrace, board, rt, descriptors,
                                   double_buffered)
         executor.execute()
     finally:
-        add_stage_time("replay_s", time.perf_counter() - start)
+        counters.add("stage_timings", "replay_s",
+                     time.perf_counter() - start)
 
 
 class _PushRows:

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .. import faults
+from .. import counters, faults
 from .trace import (
     DriverTrace,
     K_CALL,
@@ -52,10 +52,8 @@ from .trace import (
     K_RWAIT,
     K_SUB,
     K_WORD,
-    STAGE_TIMINGS,
     TraceUnsupported,
     _TileClass,
-    add_stage_time,
     _scatter_is_disjoint,
 )
 
@@ -658,7 +656,8 @@ def synthesize_trace(schedule_table: Optional[dict],
                 f"schedule not synthesizable: {exc!r}"
             ) from exc
     finally:
-        add_stage_time("trace_synth_s", time.perf_counter() - start)
+        counters.add("stage_timings", "trace_synth_s",
+                     time.perf_counter() - start)
 
 
 # -- cross-check -----------------------------------------------------------

@@ -28,13 +28,13 @@ tracing is always an optimization, never a semantics change.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .. import counters
 from ..accelerators.base import StreamAccelerator
 from ..accelerators.conv import CONV_LITERALS, CONV_OPS_PER_CYCLE, \
     ConvAccelerator
@@ -56,78 +56,10 @@ TRACE_KILL_SWITCH = "REPRO_NO_TRACE"
 #: four parallel numpy arrays instead of a list of tuples.)
 TRACE_SCHEMA_VERSION = 2
 
-#: Wall-clock spent per pipeline stage, cumulative for the process.
-#: ``compile_s`` is fed by the compiler; the benchmark harness snapshots
-#: this into BENCH_perf.json so future PRs can see where time goes.
-STAGE_TIMINGS: Dict[str, float] = {
-    "compile_s": 0.0,
-    "trace_record_s": 0.0,
-    "trace_synth_s": 0.0,
-    "manual_record_s": 0.0,
-    "replay_s": 0.0,
-    # Metrics-plane breakdown (both are *subsets* of replay_s): building
-    # a MetricsPlan from scratch vs applying a cached one in O(state).
-    "metrics_plan_build_s": 0.0,
-    "metrics_plan_apply_s": 0.0,
-    # Autotuning sweep breakdown: total sweep wall-clock, journal I/O,
-    # and the per-point pipeline stages measured inside the workers.
-    "sweep_run_s": 0.0,
-    "sweep_journal_s": 0.0,
-    "sweep_compile_s": 0.0,
-    "sweep_estimate_s": 0.0,
-    "sweep_simulate_s": 0.0,
-}
-
-#: Guards STAGE_TIMINGS mutation: stage times are accumulated from
-#: arbitrary threads (and merged wholesale from pool workers), and
-#: float ``+=`` on a dict slot is not atomic.
-_TIMINGS_LOCK = threading.Lock()
-
-
-def _fresh_timings_lock_after_fork() -> None:
-    # Forked children (service workers, model-pool workers) must not
-    # inherit a lock another parent thread held mid-accumulate.
-    global _TIMINGS_LOCK
-    _TIMINGS_LOCK = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_fresh_timings_lock_after_fork)
-
-
-def add_stage_time(stage: str, seconds: float) -> None:
-    """Thread-safely accumulate wall-clock into one pipeline stage."""
-    with _TIMINGS_LOCK:
-        STAGE_TIMINGS[stage] += seconds
-
-
-def merge_stage_timings(delta: Dict[str, float]) -> None:
-    """Fold a worker's per-stage deltas into this process's totals."""
-    with _TIMINGS_LOCK:
-        for stage, seconds in delta.items():
-            STAGE_TIMINGS[stage] = STAGE_TIMINGS.get(stage, 0.0) + seconds
-
-#: How each kernel's DriverTrace was obtained this process:
-#: ``synthesized`` (ahead-of-time from the schedule side table),
-#: ``recorded`` (shadow-runtime execution of the emitted driver),
-#: ``synth_fallback`` (synthesis was attempted but fell back to
-#: recording), ``disk_loaded`` (deserialized from the kernel store),
-#: ``manual_recorded`` / ``manual_fallback`` (hand-written baseline
-#: bodies: traced, or permanently per-tile because recording/replay
-#: failed — a nonzero fallback here means cpp_MANUAL silently left
-#: the batched path).
-TRACE_COUNTERS: Dict[str, int] = {
-    "synthesized": 0,
-    "recorded": 0,
-    "synth_fallback": 0,
-    "disk_loaded": 0,
-    "manual_recorded": 0,
-    "manual_fallback": 0,
-}
-
-
-def reset_trace_counters() -> None:
-    for key in TRACE_COUNTERS:
-        TRACE_COUNTERS[key] = 0
+#: Live views of the diagnostics registry's sections (the schema and
+#: its comments live in :mod:`repro.counters`).
+STAGE_TIMINGS = counters.SECTIONS["stage_timings"]
+TRACE_COUNTERS = counters.SECTIONS["trace_sources"]
 
 
 def trace_enabled() -> bool:
@@ -402,7 +334,7 @@ def record_trace(entry_point, arg_specs,
             )
         trace = _compile_events(recorder, arg_specs)
     finally:
-        add_stage_time(stage, time.perf_counter() - start)
+        counters.add("stage_timings", stage, time.perf_counter() - start)
     return trace
 
 

@@ -51,16 +51,16 @@ def kernel_cache_stats() -> dict:
 
 
 def stage_timings() -> dict:
-    """Cumulative compile / trace-record / replay seconds this process.
+    """Cumulative seconds per pipeline stage in this process.
 
-    Includes per-stage deltas merged back from pool workers
-    (:func:`repro.execution.run_model_jobs`), so multiprocess figure
-    harnesses report the work done, not just the fraction done in the
-    parent process.
+    Includes the per-stage deltas merged back from every pool worker
+    (:mod:`repro.pool`: model jobs, service workers, sweep workers), so
+    multiprocess harnesses report the work done, not just the fraction
+    done in the parent process.
     """
-    from ..execution import STAGE_TIMINGS
+    from .. import counters
 
-    return dict(STAGE_TIMINGS)
+    return counters.snapshot()["stage_timings"]
 
 
 def _data(dims_m: int, dims_n: int, dims_k: int, seed: int = 7):

@@ -44,6 +44,8 @@ import random
 import threading
 from typing import Dict, Optional, Tuple
 
+from . import counters
+
 #: Env var holding the fault spec (see module docstring for grammar).
 FAULTS_ENV = "REPRO_FAULTS"
 
@@ -137,8 +139,9 @@ def parse_faults(spec: str, seed: int = 0) -> Dict[str, _FaultClause]:
     return clauses
 
 
-#: Counters of fired faults per site, surfaced via ``diagnostics()``.
-FAULT_COUNTERS: Dict[str, int] = {}
+#: Live view of the diagnostics registry's ``faults`` section: fired
+#: faults per site (see :mod:`repro.counters`).
+FAULT_COUNTERS = counters.SECTIONS["faults"]
 
 _lock = threading.Lock()
 _memo_key: Optional[Tuple[str, str]] = None
@@ -207,7 +210,7 @@ def fires(site: str) -> Optional[str]:
         if clause.probability < 1.0 and \
                 clause.stream.random() >= clause.probability:
             return None
-        FAULT_COUNTERS[site] = FAULT_COUNTERS.get(site, 0) + 1
+    counters.add("faults", site)
     return clause.kind
 
 
@@ -230,29 +233,15 @@ def keyed_fires(site: str, key: str) -> Optional[str]:
     draw = random.Random(f"{clause.seed}:{site}:{key}").random()
     if draw >= clause.probability:
         return None
-    with _lock:
-        FAULT_COUNTERS[site] = FAULT_COUNTERS.get(site, 0) + 1
+    counters.add("faults", site)
     return clause.kind
-
-
-def fault_counters() -> Dict[str, int]:
-    """Snapshot of fired-fault counts per site."""
-    with _lock:
-        return dict(FAULT_COUNTERS)
-
-
-def merge_fault_counters(delta: Dict[str, int]) -> None:
-    """Fold a pool worker's fired-fault deltas into this process."""
-    with _lock:
-        for site, count in delta.items():
-            FAULT_COUNTERS[site] = FAULT_COUNTERS.get(site, 0) + count
 
 
 def reset_faults() -> None:
     """Clear counters and memoized clauses (tests)."""
     global _memo_key, _memo_clauses
+    counters.reset("faults")
     with _lock:
-        FAULT_COUNTERS.clear()
         _memo_key = None
         _memo_clauses = {}
 

@@ -26,6 +26,7 @@ import multiprocessing
 import os
 from typing import Any, Callable, Dict, Optional
 
+from . import counters
 from .envutil import env_int
 
 #: Worker count for every pool (default: min(4, cpu_count)).
@@ -53,10 +54,8 @@ def can_fork() -> bool:
 
 
 def _store_errors() -> int:
-    from .store import STORE_COUNTERS
-
-    return STORE_COUNTERS.get("store_io_errors", 0) \
-        + STORE_COUNTERS.get("store_write_failures", 0)
+    store = counters.SECTIONS["store"]
+    return store["store_io_errors"] + store["store_write_failures"]
 
 
 @contextlib.contextmanager
@@ -175,8 +174,6 @@ class Worker:
         The worker must be idle.  A worker that is dead, or does not
         answer within ``_JOIN_TIMEOUT_S``, is killed without a merge.
         """
-        from .execution import model_plan
-
         merged = False
         if self.send({"op": "shutdown"}):
             try:
@@ -186,7 +183,7 @@ class Worker:
             except OSError:
                 pass
         if merged:
-            model_plan.count_pool_worker()
+            counters.add("model_plan", "model_plan_workers")
             self.process.join(timeout=_JOIN_TIMEOUT_S)
         self.kill()
         return merged

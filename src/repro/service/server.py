@@ -60,7 +60,7 @@ import time
 import uuid
 from typing import Any, Dict, List, Optional, Tuple
 
-from .. import faults, pool
+from .. import counters, faults, pool
 from ..envutil import env_float, env_int
 # Unused here: perfbench's tracer wraps this module attribute.
 from ..execution.model_plan import merge_worker_diagnostics  # noqa: F401
@@ -91,40 +91,9 @@ _MAX_ATTEMPTS = 3
 #: Completed request_id -> response LRU (idempotent retries).
 _IDEMPOTENCY_LRU = 64
 
-#: Process-wide service event counters, surfaced via
-#: ``repro.execution.diagnostics()["service"]`` and the health RPC.
-SERVICE_COUNTERS: Dict[str, int] = {
-    "service_requests": 0,        # submits admitted into the queue
-    "service_ok": 0,              # successful responses
-    "service_errors": 0,          # error responses (all codes)
-    "service_coalesced": 0,       # submits served by an in-flight leader
-    "service_idempotent_hits": 0, # submits served from the response LRU
-    "service_shed_busy": 0,       # submits answered BUSY at admission
-    "service_timeouts": 0,        # deadline expiries (queued + executing)
-    "service_worker_crashes": 0,  # worker deaths observed
-    "service_requeues": 0,        # requests requeued after a crash
-    "service_worker_restarts": 0, # workers restarted (crash or hang)
-    "service_workers_merged": 0,  # drain-time worker deltas merged
-    "service_rpc_errors": 0,      # connection-level failures observed
-}
-
-_COUNTER_LOCK = threading.Lock()
-
-
-def _count(key: str, amount: int = 1) -> None:
-    with _COUNTER_LOCK:
-        SERVICE_COUNTERS[key] += amount
-
-
-def service_counters() -> Dict[str, int]:
-    with _COUNTER_LOCK:
-        return dict(SERVICE_COUNTERS)
-
-
-def reset_service_counters() -> None:
-    with _COUNTER_LOCK:
-        for key in SERVICE_COUNTERS:
-            SERVICE_COUNTERS[key] = 0
+#: Live view of the diagnostics registry's ``service`` section (see
+#: :mod:`repro.counters`); also reported by the health RPC.
+SERVICE_COUNTERS = counters.SECTIONS["service"]
 
 
 class _Connection:
@@ -146,7 +115,7 @@ class _Connection:
                 protocol.send_message(self.sock, message)
             return True
         except (OSError, errors.ProtocolError):
-            _count("service_rpc_errors")
+            counters.add("service", "service_rpc_errors")
             return False
 
 
@@ -271,7 +240,7 @@ class ServiceServer:
         # Dispatchers are parked; the pipes are ours now.
         for handle in self._handles:
             if handle is not None and handle.close():
-                _count("service_workers_merged")
+                counters.add("service", "service_workers_merged")
         with self._cond:
             self._stopped = True
         return self._summary()
@@ -299,7 +268,7 @@ class ServiceServer:
         with self._cond:
             queued, executing = len(self._queue), self._executing
         return {
-            "counters": service_counters(),
+            "counters": counters.snapshot()["service"],
             "queued": queued,
             "executing": executing,
             "breakers": {"store": self.store_breaker.snapshot(),
@@ -324,7 +293,7 @@ class ServiceServer:
                 try:
                     message = protocol.recv_message(connection.sock)
                 except (errors.ProtocolError, OSError):
-                    _count("service_rpc_errors")
+                    counters.add("service", "service_rpc_errors")
                     return
                 if message is None:
                     return
@@ -381,13 +350,13 @@ class ServiceServer:
             cached = self._completed.get(request_id)
             if cached is not None:
                 self._completed.move_to_end(request_id)
-                _count("service_idempotent_hits")
+                counters.add("service", "service_idempotent_hits")
             elif self._draining:
                 verdict = errors.SHUTTING_DOWN
             elif digest in self._inflight:
                 self._inflight[digest].waiters.append(
                     (connection, request_id))
-                _count("service_coalesced")
+                counters.add("service", "service_coalesced")
                 return
             else:
                 depth = len(self._queue)
@@ -396,14 +365,14 @@ class ServiceServer:
                     verdict = errors.BUSY
                     retry_after = round(
                         0.05 * (1.0 + depth / max(1, self.workers)), 3)
-                    _count("service_shed_busy")
+                    counters.add("service", "service_shed_busy")
                 else:
                     pending = _Pending(spec, digest,
                                        time.time() + float(deadline_s))
                     pending.waiters.append((connection, request_id))
                     self._inflight[digest] = pending
                     self._queue.append(pending)
-                    _count("service_requests")
+                    counters.add("service", "service_requests")
                     self._cond.notify()
                     return
         if cached is not None:
@@ -423,7 +392,7 @@ class ServiceServer:
     def _respond_error(self, connection: _Connection, request_id: str,
                        code: str, message_text: str,
                        retry_after_s: Optional[float] = None) -> None:
-        _count("service_errors")
+        counters.add("service", "service_errors")
         payload: Dict[str, Any] = {"request_id": request_id,
                                    "status": "error", "code": code,
                                    "message": message_text}
@@ -447,7 +416,8 @@ class ServiceServer:
                 while len(self._completed) > _IDEMPOTENCY_LRU:
                     self._completed.popitem(last=False)
         ok = payload.get("status") == "ok"
-        _count("service_ok" if ok else "service_errors", len(waiters))
+        counters.add("service", "service_ok" if ok else "service_errors",
+                     len(waiters))
         for connection, request_id in waiters:
             connection.respond({**payload, "request_id": request_id})
 
@@ -485,7 +455,7 @@ class ServiceServer:
 
     def _dispatch_one(self, index: int, pending: _Pending) -> None:
         if time.time() >= pending.deadline:
-            _count("service_timeouts")
+            counters.add("service", "service_timeouts")
             self._finish(pending, {
                 "status": "error", "code": errors.TIMEOUT,
                 "message": "deadline expired while queued",
@@ -504,12 +474,12 @@ class ServiceServer:
             # Deterministic restart point: a fresh worker at the same
             # slot, forked from the same parent image.
             self._handles[index] = pool.Worker(index, serve)
-            _count("service_worker_restarts")
+            counters.add("service", "service_worker_restarts")
         reply = self._run_job(index, job, pending)
         if reply is None:
             # Worker crashed mid-request: restart the slot and requeue
             # (or fail) the request.
-            _count("service_worker_crashes")
+            counters.add("service", "service_worker_crashes")
             handle = self._handles[index]
             if handle is not None:
                 handle.kill()
@@ -520,11 +490,11 @@ class ServiceServer:
                 # job doesn't leave the slot dead at drain time (its
                 # replacement's delta still gets merged).
                 self._handles[index] = pool.Worker(index, serve)
-                _count("service_worker_restarts")
+                counters.add("service", "service_worker_restarts")
             if pending.responded:
                 return
             if pending.attempts < _MAX_ATTEMPTS:
-                _count("service_requeues")
+                counters.add("service", "service_requeues")
                 self._requeue_front(pending)
                 return
             self._finish(pending, {
@@ -552,7 +522,7 @@ class ServiceServer:
         else:
             code = reply.get("code", errors.INTERNAL)
             if code == errors.TIMEOUT:
-                _count("service_timeouts")
+                counters.add("service", "service_timeouts")
             self._finish(pending, {
                 "status": "error", "code": code,
                 "message": reply.get("message", "worker error"),
@@ -579,7 +549,7 @@ class ServiceServer:
         while True:
             remaining = pending.deadline - time.time()
             if not timed_out and remaining <= 0:
-                _count("service_timeouts")
+                counters.add("service", "service_timeouts")
                 self._finish(pending, {
                     "status": "error", "code": errors.TIMEOUT,
                     "message": "deadline expired during execution "
@@ -604,6 +574,7 @@ class ServiceServer:
         with self._cond:
             queued, executing = len(self._queue), self._executing
             draining = self._draining
+        snapshot = counters.snapshot()
         return {
             "status": "draining" if draining else "ok",
             "queue_depth": queued,
@@ -612,6 +583,6 @@ class ServiceServer:
             "workers": self.workers,
             "breakers": {"store": self.store_breaker.snapshot(),
                          "native": self.native_breaker.snapshot()},
-            "counters": service_counters(),
-            "faults": faults.fault_counters(),
+            "counters": snapshot["service"],
+            "faults": snapshot["faults"],
         }

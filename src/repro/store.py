@@ -66,7 +66,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from . import faults
+from . import counters, faults
 from .envutil import env_float, env_int
 
 try:
@@ -92,25 +92,9 @@ _DEFAULT_LOCK_TIMEOUT_S = 10.0
 #: Temp files older than this are considered crash litter by gc().
 _TMP_MAX_AGE_S = 300.0
 
-#: Process-wide store event counters (mirrors TRACE_COUNTERS /
-#: METRICS_PLAN_COUNTERS); surfaced via ``diagnostics()``.
-STORE_COUNTERS: Dict[str, int] = {
-    "store_hits": 0,
-    "store_misses": 0,
-    "store_corrupt": 0,
-    "store_stale": 0,
-    "store_io_errors": 0,
-    "store_writes": 0,
-    "store_write_failures": 0,
-    "store_quarantined": 0,
-    "store_evictions": 0,
-    "store_lock_timeouts": 0,
-}
-
-
-def reset_store_counters() -> None:
-    for key in STORE_COUNTERS:
-        STORE_COUNTERS[key] = 0
+#: Live view of the diagnostics registry's ``store`` section (see
+#: :mod:`repro.counters`).
+STORE_COUNTERS = counters.SECTIONS["store"]
 
 
 class StoreFormatError(ValueError):
@@ -449,10 +433,6 @@ next_tmp_suffix = _next_tmp_suffix
 fsync_dir = _fsync_dir
 
 
-def _count(key: str, amount: int = 1) -> None:
-    STORE_COUNTERS[key] += amount
-
-
 class KernelStore:
     """One on-disk store rooted at a directory (see module docstring).
 
@@ -511,11 +491,11 @@ class KernelStore:
             blob = path.read_bytes()
         except FileNotFoundError:
             if count:
-                _count("store_misses")
+                counters.add("store", "store_misses")
             return "miss", None
         except OSError:
             if count:
-                _count("store_io_errors")
+                counters.add("store", "store_io_errors")
             return "io", None
         try:
             if injected == "corrupt":
@@ -525,10 +505,10 @@ class KernelStore:
         except StoreFormatError:
             self.quarantine(name)
             if count:
-                _count("store_corrupt")
+                counters.add("store", "store_corrupt")
             return "corrupt", None
         if count:
-            _count("store_hits")
+            counters.add("store", "store_hits")
         try:
             os.utime(path)  # LRU recency for gc()
         except OSError:
@@ -550,7 +530,7 @@ class KernelStore:
             if target.exists():
                 target = target_dir / (path.name + _next_tmp_suffix())
             os.replace(path, target)
-            _count("store_quarantined")
+            counters.add("store", "store_quarantined")
         except OSError:
             return
 
@@ -580,7 +560,7 @@ class KernelStore:
             os.replace(tmp, path)
             _fsync_dir(path.parent)
         except OSError:
-            _count("store_write_failures")
+            counters.add("store", "store_write_failures")
             return False
         finally:
             # os.replace consumed the tmp on success; anything left
@@ -589,7 +569,7 @@ class KernelStore:
                 tmp.unlink()
             except OSError:
                 pass
-        _count("store_writes")
+        counters.add("store", "store_writes")
         max_bytes = self._resolve_max_bytes()
         if max_bytes is not None:
             self.gc(max_bytes)
@@ -605,7 +585,7 @@ class KernelStore:
         the store consistent regardless of who wins.
         """
         if faults.fires("store.lock") == "timeout":
-            _count("store_lock_timeouts")
+            counters.add("store", "store_lock_timeouts")
             yield False
             return
         if not _HAVE_FCNTL:
@@ -630,7 +610,7 @@ class KernelStore:
                     break
                 except OSError:
                     if time.monotonic() >= deadline:
-                        _count("store_lock_timeouts")
+                        counters.add("store", "store_lock_timeouts")
                         break
                     time.sleep(delay)
                     delay = min(delay * 2, 0.05)
@@ -686,5 +666,5 @@ class KernelStore:
                 continue
             total -= size
             evicted += 1
-            _count("store_evictions")
+            counters.add("store", "store_evictions")
         return evicted

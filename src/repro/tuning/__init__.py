@@ -9,23 +9,28 @@ reports (:mod:`~repro.tuning.report`).  ``python -m repro.tuning``
 is the CLI entry point.
 
 Heavy modules (driver pulls in the compiler and simulator) are loaded
-lazily so that importing :mod:`repro.tuning` for its counters — as the
-diagnostics surface does — stays cheap.
+lazily so that importing :mod:`repro.tuning` for its counters stays
+cheap.
 """
 
 from __future__ import annotations
 
-from .counters import (
-    TUNING_COUNTERS,
-    merge_tuning_counters,
-    reset_tuning_counters,
-    tuning_counters,
-)
+from typing import Dict
+
+from .. import counters
+
+#: Live view of the diagnostics registry's ``tuning`` section (see
+#: :mod:`repro.counters`).
+TUNING_COUNTERS = counters.SECTIONS["tuning"]
+
+
+def tuning_counters() -> Dict[str, int]:
+    """Snapshot of the sweep counters."""
+    return counters.snapshot()["tuning"]
+
 
 __all__ = [
     "TUNING_COUNTERS",
-    "merge_tuning_counters",
-    "reset_tuning_counters",
     "tuning_counters",
     "SweepPoint",
     "SweepSpace",

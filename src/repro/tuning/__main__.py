@@ -110,7 +110,7 @@ def main(argv=None) -> int:
         result = driver.run()
     finally:
         signal.signal(signal.SIGTERM, previous)
-    from .counters import tuning_counters
+    from . import tuning_counters
 
     _emit("done", complete=result["complete"], points=result["points"],
           resolved=result["resolved"], counters=tuning_counters())

@@ -51,13 +51,11 @@ import time
 import traceback
 from typing import Dict, Optional, Tuple
 
-from .. import faults, pool
+from .. import counters, faults, pool
 from ..envutil import env_float
-from ..execution.trace import add_stage_time
 from ..retry import BackoffSchedule, retryable
 from ..service import protocol
 from ..service.breaker import CircuitBreaker
-from .counters import count
 from .journal import SweepJournal
 from .report import build_report, write_report
 from .space import SweepSpace, group_floors
@@ -151,7 +149,8 @@ def evaluate_point(spec: dict, prune_bytes: Optional[int] = None,
         enable_cpu_tiling=bool(spec["cpu_tiling"]),
     )
     kernel = compiler.compile_matmul(spec["m"], spec["n"], spec["k"])
-    add_stage_time("sweep_compile_s", time.perf_counter() - started)
+    counters.add("stage_timings", "sweep_compile_s",
+                 time.perf_counter() - started)
 
     started = time.perf_counter()
     est_bytes: Optional[int] = None
@@ -162,8 +161,9 @@ def evaluate_point(spec: dict, prune_bytes: Optional[int] = None,
     except TrafficUnsupported:
         # CPU-tiled plans are outside the traffic model: count, then
         # simulate unconditionally instead of guessing.
-        count("tuning_prune_unsupported")
-    add_stage_time("sweep_estimate_s", time.perf_counter() - started)
+        counters.add("tuning", "tuning_prune_unsupported")
+    counters.add("stage_timings", "sweep_estimate_s",
+                 time.perf_counter() - started)
     if est_bytes is not None and prune_bytes is not None \
             and est_bytes > prune_bytes:
         return {"status": "pruned", "est_bytes": est_bytes,
@@ -175,14 +175,15 @@ def evaluate_point(spec: dict, prune_bytes: Optional[int] = None,
     board.attach_accelerator(hw)
     a, b = matmul_inputs(spec["m"], spec["n"], spec["k"])
     out = np.zeros((spec["m"], spec["n"]), np.int32)
-    counters = kernel.run(board, a, b, out, trace=True)
-    add_stage_time("sweep_simulate_s", time.perf_counter() - started)
+    perf = kernel.run(board, a, b, out, trace=True)
+    counters.add("stage_timings", "sweep_simulate_s",
+                 time.perf_counter() - started)
     if not np.array_equal(out, expected_matmul(a, b)):
         raise AssertionError("sweep point produced wrong results")
     return {
         "status": "ok",
-        "metric": counters.elapsed_seconds,
-        "counters": protocol.encode_value(counters),
+        "metric": perf.elapsed_seconds,
+        "counters": protocol.encode_value(perf),
         "est_bytes": est_bytes,
     }
 
@@ -283,10 +284,10 @@ class SweepDriver:
         self._results[point.digest] = record
         self.journal.append_result(point.digest, record)
         status = record["status"]
-        count({"ok": "tuning_points_completed",
-               "pruned": "tuning_points_pruned",
-               "poisoned": "tuning_points_poisoned",
-               "failed": "tuning_points_failed"}[status])
+        counters.add("tuning", {"ok": "tuning_points_completed",
+                                "pruned": "tuning_points_pruned",
+                                "poisoned": "tuning_points_poisoned",
+                                "failed": "tuning_points_failed"}[status])
 
     def _classify_failure(self, point, code: str,
                           error: str) -> Optional[float]:
@@ -303,7 +304,7 @@ class SweepDriver:
         if retryable(RuntimeError(error), code=code,
                      retryable_codes=RETRYABLE_OUTCOMES) \
                 and attempts < self.max_attempts:
-            count("tuning_retries")
+            counters.add("tuning", "tuning_retries")
             return self._backoff(digest).next_delay()
         if code == "crash" \
                 and self._crashes.get(digest, 0) >= attempts:
@@ -317,9 +318,9 @@ class SweepDriver:
         store = self.store_breaker.allow()
         native = self.native_breaker.allow()
         if not store["enabled"]:
-            count("tuning_store_degraded")
+            counters.add("tuning", "tuning_store_degraded")
         if not native["enabled"]:
-            count("tuning_native_degraded")
+            counters.add("tuning", "tuning_native_degraded")
         return store, native
 
     def _next_attempt(self, point) -> int:
@@ -357,7 +358,7 @@ class SweepDriver:
             self._resolve(point, reply["outcome"])
             return None
         if reply["code"] == "deadline":
-            count("tuning_deadline_kills")
+            counters.add("tuning", "tuning_deadline_kills")
         return self._classify_failure(point, reply["code"], reply["error"])
 
     # -- the run -------------------------------------------------------------
@@ -365,19 +366,19 @@ class SweepDriver:
         started = time.perf_counter()
         points = self.space.points()
         space_digest = self.space.digest()
-        count("tuning_points_total", len(points))
+        counters.add("tuning", "tuning_points_total", len(points))
 
         journal_started = time.perf_counter()
         replay = self.journal.replay(expect_space=space_digest)
-        add_stage_time("sweep_journal_s",
-                       time.perf_counter() - journal_started)
+        counters.add("stage_timings", "sweep_journal_s",
+                     time.perf_counter() - journal_started)
         known = {point.digest for point in points}
         for digest, record in replay.results.items():
             if digest in known:
                 self._results[digest] = record
-        count("tuning_points_resumed", len(self._results))
-        count("tuning_points_inflight",
-              len([d for d in replay.inflight() if d in known]))
+        counters.add("tuning", "tuning_points_resumed", len(self._results))
+        counters.add("tuning", "tuning_points_inflight",
+                     len([d for d in replay.inflight() if d in known]))
         if replay.meta is None:
             self.journal.append_meta(space_digest)
 
@@ -397,13 +398,14 @@ class SweepDriver:
         if complete:
             journal_started = time.perf_counter()
             self.journal.compact(space_digest, self._results)
-            add_stage_time("sweep_journal_s",
-                           time.perf_counter() - journal_started)
+            counters.add("stage_timings", "sweep_journal_s",
+                         time.perf_counter() - journal_started)
             report = build_report(self.space, self._results)
             if self.report_path is not None:
                 write_report(self.report_path, report)
         self.journal.close()
-        add_stage_time("sweep_run_s", time.perf_counter() - started)
+        counters.add("stage_timings", "sweep_run_s",
+                     time.perf_counter() - started)
         return {
             "complete": complete,
             "points": len(points),
@@ -423,7 +425,7 @@ class SweepDriver:
             point = pending.popleft()
             attempt = self._next_attempt(point)
             if _crashes(point.digest, attempt):
-                count("tuning_worker_crashes")
+                counters.add("tuning", "tuning_worker_crashes")
                 delay = self._classify_failure(point, "crash",
                                                "injected crash")
             else:
@@ -452,7 +454,7 @@ class SweepDriver:
             settle(slot, self._classify_failure(point, code, error))
             workers[slot].kill()
             workers[slot] = pool.Worker(slot, _worker_job)
-            count("tuning_worker_restarts")
+            counters.add("tuning", "tuning_worker_restarts")
 
         try:
             while pending or inflight:
@@ -493,14 +495,14 @@ class SweepDriver:
                         continue
                     # The worker died (injected crash, OOM-shaped failure).
                     worker.process.join(timeout=5)
-                    count("tuning_worker_crashes")
+                    counters.add("tuning", "tuning_worker_crashes")
                     fail(worker.index, "crash",
                          f"worker {worker.index} crashed "
                          f"(exit {worker.process.exitcode})")
                 # Hard deadline kills for hung workers.
                 now = time.monotonic()
                 for slot in [s for s, a in inflight.items() if now >= a[3]]:
-                    count("tuning_deadline_kills")
+                    counters.add("tuning", "tuning_deadline_kills")
                     fail(slot, "deadline", "hard deadline kill")
         finally:
             for worker in workers:

@@ -37,9 +37,8 @@ import os
 from pathlib import Path
 from typing import Dict, Optional
 
-from .. import faults
+from .. import counters, faults
 from ..store import fsync_dir, next_tmp_suffix
-from .counters import count
 
 #: Journal line-format version; bump on incompatible record changes so
 #: stale journals are rejected instead of misread.
@@ -115,11 +114,11 @@ class SweepJournal:
             fh.flush()
             os.fsync(fh.fileno())
         except OSError:
-            count("tuning_journal_io_errors")
+            counters.add("tuning", "tuning_journal_io_errors")
             self._drop_handle()
             return False
         self._seq += 1
-        count("tuning_journal_appends")
+        counters.add("tuning", "tuning_journal_appends")
         return True
 
     def append_meta(self, space_digest: str) -> bool:
@@ -169,7 +168,7 @@ class SweepJournal:
         if lines and lines[-1] != b"":
             # No terminating newline: the writer died mid-append.
             replay.torn_tail += 1
-            count("tuning_journal_torn_tail")
+            counters.add("tuning", "tuning_journal_torn_tail")
             lines = lines[:-1]
         for line in lines:
             if not line.strip():
@@ -181,10 +180,10 @@ class SweepJournal:
                     raise ValueError("checksum mismatch")
             except (ValueError, UnicodeDecodeError):
                 replay.corrupt += 1
-                count("tuning_journal_corrupt")
+                counters.add("tuning", "tuning_journal_corrupt")
                 continue
             replay.records += 1
-            count("tuning_journal_replayed")
+            counters.add("tuning", "tuning_journal_replayed")
             self._seq = max(self._seq, int(record.get("seq", 0)) + 1)
             kind = record.get("t")
             if kind == "meta":
@@ -211,7 +210,7 @@ class SweepJournal:
                 digest = record.get("digest")
                 if digest in replay.results:
                     replay.duplicates += 1
-                    count("tuning_journal_duplicates")
+                    counters.add("tuning", "tuning_journal_duplicates")
                     continue
                 replay.results[digest] = record.get("record", {})
         return replay
@@ -250,12 +249,12 @@ class SweepJournal:
             os.replace(tmp_path, self.path)
             fsync_dir(self.path.parent)
         except OSError:
-            count("tuning_journal_io_errors")
+            counters.add("tuning", "tuning_journal_io_errors")
             try:
                 os.unlink(tmp_path)
             except OSError:
                 pass
             return False
         self._seq = len(records)
-        count("tuning_journal_compactions")
+        counters.add("tuning", "tuning_journal_compactions")
         return True

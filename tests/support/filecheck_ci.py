@@ -3,8 +3,9 @@
 Runs ``tests/test_filecheck.py`` as a separate step, fails if any
 ``tests/filecheck/*.mlir`` fixture on disk is not collected by pytest
 (guarding against silent test-discovery regressions), and records the
-suite's wall-clock as a ``filecheck_suite_s`` line in ``BENCH_perf.json``
-so the textual-pipeline harness shows up in the perf trajectory.
+suite's wall-clock as a ``filecheck_suite_s`` line in the fresh perf
+record ``benchmarks/out/BENCH_perf.json`` (gitignored), so the
+textual-pipeline harness shows up next to the benchmark timings.
 
 Usage (from the repo root, locally or in CI)::
 
@@ -22,7 +23,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent.parent
 FIXTURE_DIR = REPO / "tests" / "filecheck"
-BENCH_PERF_PATH = REPO / "BENCH_perf.json"
+BENCH_PERF_PATH = REPO / "benchmarks" / "out" / "BENCH_perf.json"
 
 
 def _pytest(*args: str) -> subprocess.CompletedProcess:
@@ -71,9 +72,10 @@ def main() -> int:
         payload = json.loads(BENCH_PERF_PATH.read_text())
     payload["filecheck_suite_s"] = round(elapsed, 3)
     payload["filecheck_fixtures"] = len(fixtures)
+    BENCH_PERF_PATH.parent.mkdir(exist_ok=True)
     BENCH_PERF_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"filecheck suite: {len(fixtures)} fixtures in {elapsed:.2f}s "
-          f"(recorded in {BENCH_PERF_PATH.name})")
+          f"(recorded in {BENCH_PERF_PATH.relative_to(REPO)})")
     return 0
 
 

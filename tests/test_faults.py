@@ -11,14 +11,14 @@ import os
 import numpy as np
 import pytest
 
-from repro import faults
+from repro import counters, faults
 from repro.accelerators import make_conv_system, make_matmul_system
 from repro.compiler import AXI4MLIRCompiler, KernelCache
 from repro.execution import diagnostics
 from repro.execution.metrics import METRICS_PLAN_COUNTERS
 from repro.execution.trace import TRACE_COUNTERS
 from repro.soc import make_pynq_z2
-from repro.store import STORE_COUNTERS, reset_store_counters
+from repro.store import STORE_COUNTERS
 
 
 @pytest.fixture(autouse=True)
@@ -27,7 +27,7 @@ def _clean_fault_env(monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_FAULTS_SEED", raising=False)
     faults.reset_faults()
-    reset_store_counters()
+    counters.reset("store")
     yield
     faults.reset_faults()
 
@@ -177,7 +177,7 @@ class TestDeterminism:
         monkeypatch.setenv("REPRO_FAULTS", "synth:fail")
         for _ in range(3):
             assert faults.fires("synth") == "fail"
-        assert faults.fault_counters()["synth"] == 3
+        assert counters.snapshot()["faults"]["synth"] == 3
 
 
 class TestKeyedDraws:
@@ -223,7 +223,7 @@ class TestKeyedDraws:
         faults.reset_faults()
         assert faults.keyed_fires("tuning.point", "a") == "poison"
         assert faults.keyed_fires("tuning.point", "b") == "poison"
-        assert faults.fault_counters()["tuning.point"] == 2
+        assert counters.snapshot()["faults"]["tuning.point"] == 2
 
 
 # -- bit-identity under every single fault ----------------------------------
@@ -335,7 +335,7 @@ class TestSingleFaultBitIdentity:
         if spec not in ("store.lock:timeout",):
             # Probability 1.0: the fault must actually have fired.
             site = spec.split(":")[0]
-            assert faults.fault_counters().get(site, 0) > 0
+            assert counters.snapshot()["faults"].get(site, 0) > 0
 
 
 def _nullcontext():
@@ -427,13 +427,13 @@ class TestNativeFaultMemo:
         faults.reset_faults()
         with pytest.warns(RuntimeWarning, match="fault-injected"):
             assert _native.native_lib() is None
-        fired = faults.fault_counters()["native.compile"]
+        fired = counters.snapshot()["faults"]["native.compile"]
         # Memoized: later calls neither warn nor re-probe the fault.
         import warnings as warnings_mod
         with warnings_mod.catch_warnings():
             warnings_mod.simplefilter("error")
             assert _native.native_lib() is None
-        assert faults.fault_counters()["native.compile"] == fired
+        assert counters.snapshot()["faults"]["native.compile"] == fired
         assert _native.native_status() == {
             "available": False, "status": "fault-injected",
         }
@@ -452,6 +452,42 @@ class TestNativeFaultMemo:
         assert _native.native_status()["status"] == "disabled"
 
 
+#: ``diagnostics()`` sections and their keys (``faults`` holds one key
+#: per fired site: here only ``synth``).
+DIAGNOSTICS_SCHEMA = {
+    "stage_timings": "compile_s trace_record_s trace_synth_s "
+                     "manual_record_s replay_s metrics_plan_build_s "
+                     "metrics_plan_apply_s sweep_run_s sweep_journal_s "
+                     "sweep_compile_s sweep_estimate_s sweep_simulate_s",
+    "trace_sources": "synthesized recorded synth_fallback disk_loaded "
+                     "manual_recorded manual_fallback",
+    "metrics_plan": "metrics_plan_hits metrics_plan_misses "
+                    "metrics_plan_fallback component_memo_hits "
+                    "component_memo_misses",
+    "model_plan": "model_plan_workers model_plan_step_hits",
+    "store": "store_hits store_misses store_corrupt store_stale "
+             "store_io_errors store_writes store_write_failures "
+             "store_quarantined store_evictions store_lock_timeouts",
+    "tuning": "tuning_points_total tuning_points_completed "
+              "tuning_points_pruned tuning_points_poisoned "
+              "tuning_points_failed tuning_points_resumed "
+              "tuning_points_inflight tuning_prune_unsupported "
+              "tuning_retries tuning_worker_crashes tuning_worker_restarts "
+              "tuning_deadline_kills tuning_store_degraded "
+              "tuning_native_degraded tuning_journal_appends "
+              "tuning_journal_io_errors tuning_journal_replayed "
+              "tuning_journal_torn_tail tuning_journal_corrupt "
+              "tuning_journal_duplicates tuning_journal_compactions",
+    "faults": "synth",
+    "native": "available status",
+    "service": "service_requests service_ok service_errors "
+               "service_coalesced service_idempotent_hits "
+               "service_shed_busy service_timeouts service_worker_crashes "
+               "service_requeues service_worker_restarts "
+               "service_workers_merged service_rpc_errors",
+}
+
+
 class TestDiagnostics:
     def test_diagnostics_has_robustness_sections(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "synth:fail")
@@ -463,6 +499,10 @@ class TestDiagnostics:
         assert report["faults"].get("synth", 0) >= 1
         assert set(report["store"]) == set(STORE_COUNTERS)
         assert "status" in report["native"]
+        # The one schema: exactly these sections, each with these keys.
+        assert {section: set(keys) for section, keys in report.items()} \
+            == {section: set(keys.split())
+                for section, keys in DIAGNOSTICS_SCHEMA.items()}
 
 
 class TestForkSafety:
@@ -500,5 +540,44 @@ class TestForkSafety:
         process.join(timeout=30)
         release.set()
         thread.join(timeout=5)
+        assert ok
+        assert process.exitcode == 0
+
+    def test_child_gets_fresh_counters_lock(self):
+        """A child forked while another thread holds the counters lock
+        must get a fresh one instead of deadlocking on its first
+        ``counters.add`` or ``snapshot()``."""
+        import multiprocessing
+        import threading
+
+        release = threading.Event()
+
+        def holder():
+            with counters._lock:
+                release.wait(timeout=30)
+
+        thread = threading.Thread(target=holder, daemon=True)
+        thread.start()
+        while not counters._lock.locked():
+            pass
+
+        def child(queue):
+            # Would hang forever on an inherited held lock.
+            counters.add("faults", "synth")
+            queue.put(counters.snapshot()["faults"]["synth"] >= 1)
+
+        context = multiprocessing.get_context("fork")
+        queue = context.Queue()
+        process = context.Process(target=child, args=(queue,))
+        process.start()
+        try:
+            ok = queue.get(timeout=30)
+            process.join(timeout=30)
+        finally:
+            release.set()
+            thread.join(timeout=5)
+            if process.is_alive():
+                process.kill()
+                process.join()
         assert ok
         assert process.exitcode == 0

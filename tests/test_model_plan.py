@@ -14,13 +14,13 @@ interpreter).
 import numpy as np
 import pytest
 
+from repro import counters
 from repro.accelerators import ConvAccelerator, make_conv_system, \
     make_matmul_system
 from repro.baselines import cpu_conv, manual_conv_driver
 from repro.compiler import AXI4MLIRCompiler, KernelCache
 from repro.execution import (
     MODEL_PLAN_COUNTERS,
-    reset_model_plan_counters,
     run_model_jobs,
 )
 from repro.soc import make_pynq_z2
@@ -33,7 +33,7 @@ MATMUL_SPECS = ((16, 16, 16, 8, 3, "Ns", None),
 
 @pytest.fixture(autouse=True)
 def _fresh_model_counters():
-    reset_model_plan_counters()
+    counters.reset("model_plan")
 
 
 def _matmul_data(m, n, k, seed=5):
@@ -185,8 +185,12 @@ class TestWorkerPool:
 
     def test_pool_merges_worker_diagnostics(self, monkeypatch):
         from repro.compiler import default_kernel_cache
-        from repro.execution import STAGE_TIMINGS
+        from repro.execution import STAGE_TIMINGS, diagnostics
         from repro.execution.metrics import METRICS_PLAN_COUNTERS
+        from repro.execution.model_plan import (
+            merge_worker_diagnostics,
+            snapshot_diagnostics,
+        )
         from repro.experiments.harness import run_matmul_model
 
         # Fresh kernels, so the workers build their metrics plans
@@ -203,3 +207,17 @@ class TestWorkerPool:
         assert STAGE_TIMINGS["metrics_plan_build_s"] > before_build
         assert METRICS_PLAN_COUNTERS["metrics_plan_misses"] > \
             before_misses
+        # Worker deltas carry the diagnostics() sections (minus native)
+        # plus kernel_cache; a section the registry does not own, like
+        # the benchmark tracer's perfbench, is ignored by the merge.
+        assert set(snapshot_diagnostics()) == \
+            set(diagnostics()) - {"native"} | {"kernel_cache"}
+        worker_delta = {"trace_sources": {"synthesized": 2},
+                        "store": {"store_hits": 1}}
+        start = counters.snapshot()
+        merge_worker_diagnostics(worker_delta)
+        plain = counters.snapshot()
+        merge_worker_diagnostics(
+            {**worker_delta, "perfbench": {"bytes_written": 64}})
+        assert counters.delta(counters.snapshot(), plain) == \
+            counters.delta(plain, start)

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import faults
+from repro import counters, faults
 from repro.execution.model_plan import MODEL_PLAN_COUNTERS
 from repro.service import (
     BackoffSchedule,
@@ -28,8 +28,6 @@ from repro.service import (
     ServiceTimeout,
     WorkerCrashed,
     errors,
-    reset_service_counters,
-    service_counters,
 )
 from repro.service import protocol
 from repro.service.worker import run_request
@@ -49,10 +47,10 @@ def _clean_service_env(monkeypatch):
                 "REPRO_SERVICE_TIMEOUT_S"):
         monkeypatch.delenv(var, raising=False)
     faults.reset_faults()
-    reset_service_counters()
+    counters.reset("service")
     yield
     faults.reset_faults()
-    reset_service_counters()
+    counters.reset("service")
 
 
 def matmul_spec(m=8, n=8, k=8, seed=0, size=4, version=1, flow="Ns"):
@@ -311,7 +309,7 @@ class TestService:
                 with pytest.raises(ServiceBusy) as excinfo:
                     client.submit(matmul_spec())
             assert excinfo.value.retry_after_s > 0
-            assert service_counters()["service_shed_busy"] == 1
+            assert counters.snapshot()["service"]["service_shed_busy"] == 1
         finally:
             monkeypatch.delenv("REPRO_FAULTS")
             server.drain()
@@ -326,11 +324,11 @@ class TestService:
                                sleep=slept.append) as client:
                 reply = client.submit(matmul_spec(seed=9))
             assert reply["status"] == "ok"
-            counters = service_counters()
+            service = counters.snapshot()["service"]
             # The seeded queue stream shed at least one admission, and
             # every shed produced one client-side backoff sleep.
-            assert counters["service_shed_busy"] >= 1
-            assert len(slept) == counters["service_shed_busy"]
+            assert service["service_shed_busy"] >= 1
+            assert len(slept) == service["service_shed_busy"]
         finally:
             server.drain()
 
@@ -341,7 +339,7 @@ class TestService:
                 with pytest.raises(ServiceTimeout):
                     client.submit(matmul_spec(m=32, n=32, k=32),
                                   deadline_s=1e-6)
-            assert service_counters()["service_timeouts"] >= 1
+            assert counters.snapshot()["service"]["service_timeouts"] >= 1
         finally:
             server.drain()
 
@@ -393,7 +391,8 @@ class TestService:
             assert replay.get("idempotent") is True
             assert result_tuple(replay["counters"], replay["output"]) \
                 == result_tuple(first["counters"], first["output"])
-            assert service_counters()["service_idempotent_hits"] == 1
+            assert counters.snapshot()["service"][
+                "service_idempotent_hits"] == 1
         finally:
             server.drain()
 
@@ -432,7 +431,7 @@ class TestService:
             for thread in threads:
                 thread.join(timeout=60)
             assert len(results) == 3
-            assert service_counters()["service_coalesced"] >= 1
+            assert counters.snapshot()["service"]["service_coalesced"] >= 1
             direct = result_tuple(*run_request(dict(shared)))
             assert sum(r == direct for r in results) == 2
         finally:
@@ -446,12 +445,12 @@ class TestService:
             with ServiceClient(server.address, max_attempts=1) as client:
                 with pytest.raises(WorkerCrashed):
                     client.submit(matmul_spec(seed=11))
-            counters = service_counters()
-            assert counters["service_worker_crashes"] == 3
-            assert counters["service_requeues"] == 2
+            service = counters.snapshot()["service"]
+            assert service["service_worker_crashes"] == 3
+            assert service["service_requeues"] == 2
             # Every crash restarts the slot eagerly — including the
             # last one, so the pool never sits with a dead slot.
-            assert counters["service_worker_restarts"] == 3
+            assert service["service_worker_restarts"] == 3
             # Fault lifted.  The eagerly-restarted slot was forked
             # *before* the env change, so it still carries the crash
             # fault and dies once more; its replacement (forked after)
@@ -463,7 +462,8 @@ class TestService:
                 reply = client.submit(spec)
             assert result_tuple(reply["counters"], reply["output"]) \
                 == result_tuple(*run_request(dict(spec)))
-            assert service_counters()["service_worker_restarts"] == 4
+            assert counters.snapshot()["service"][
+                "service_worker_restarts"] == 4
         finally:
             server.drain()
 
@@ -480,10 +480,10 @@ class TestService:
                 reply = client.submit(spec)
             assert result_tuple(reply["counters"], reply["output"]) \
                 == result_tuple(*run_request(dict(spec)))
-            counters = service_counters()
-            assert counters["service_worker_crashes"] == 1
-            assert counters["service_requeues"] == 1
-            assert counters["service_worker_restarts"] == 1
+            service = counters.snapshot()["service"]
+            assert service["service_worker_crashes"] == 1
+            assert service["service_requeues"] == 1
+            assert service["service_worker_restarts"] == 1
         finally:
             server.drain()
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import faults
+from repro import counters, faults
 from repro.accelerators import make_matmul_system
 from repro.compiler import AXI4MLIRCompiler, KernelCache
 from repro.soc import make_pynq_z2
@@ -33,7 +33,6 @@ from repro.store import (
     decode_payload,
     encode_payload,
     pack_entry,
-    reset_store_counters,
     unpack_entry,
 )
 
@@ -45,7 +44,7 @@ def _clean_fault_env(monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_KERNEL_CACHE_MAX_BYTES", raising=False)
     faults.reset_faults()
-    reset_store_counters()
+    counters.reset("store")
 
 
 # -- codec / container units ------------------------------------------------

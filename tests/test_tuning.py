@@ -12,7 +12,7 @@ import warnings
 
 import pytest
 
-from repro import faults
+from repro import counters, faults
 from repro.retry import BackoffSchedule, retryable
 from repro.tuning import (
     JournalMismatch,
@@ -24,7 +24,6 @@ from repro.tuning import (
     smoke_space,
     tuning_counters,
 )
-from repro.tuning.counters import reset_tuning_counters
 from repro.tuning.driver import TUNING_DEADLINE_ENV, tuning_deadline_s
 from repro.tuning.space import all_permutations, group_floors
 
@@ -39,10 +38,10 @@ def _clean_tuning_env(monkeypatch):
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     monkeypatch.delenv(TUNING_DEADLINE_ENV, raising=False)
     faults.reset_faults()
-    reset_tuning_counters()
+    counters.reset("tuning")
     yield
     faults.reset_faults()
-    reset_tuning_counters()
+    counters.reset("tuning")
 
 
 def _driver(space, tmp_path, name="j", **kwargs):
@@ -265,7 +264,7 @@ class TestDriver:
             return real_evaluate(spec, prune_bytes, deadline)
 
         monkeypatch.setattr(driver_module, "evaluate_point", counting)
-        reset_tuning_counters()
+        counters.reset("tuning")
         resumed = _driver(SMALL, tmp_path, name="resumed").run()
         assert resumed["complete"]
         assert len(recomputed) == len(SMALL.points()) - 2
