@@ -72,8 +72,10 @@ KERNEL_CACHE_DIR_ENV = "REPRO_KERNEL_CACHE_DIR"
 #: its own schema version, TRACE_SCHEMA_VERSION: a trace-only schema
 #: bump evicts just the trace, not the lowered kernel.)
 #: Version 3: pickle entries replaced by the checksummed JSON+npz
-#: container of :mod:`repro.store`.
-KERNEL_STORE_VERSION = 3
+#: container of :mod:`repro.store`.  Version 4: the npz archive became
+#: one zlib-compressed array section described by an array table in
+#: the manifest, and trace tables became int64 columns.
+KERNEL_STORE_VERSION = 4
 
 
 # -- disk-store suspension (circuit-breaker seam) ---------------------------
@@ -232,12 +234,14 @@ class KernelCache:
     KernelStore` keyed by the same fingerprint: a memory miss first
     tries to load the lowered module + emitted source from disk, and
     fresh compilations are persisted, so repeated processes skip the
-    lowering pipeline entirely.  Entries are checksummed JSON+npz
-    containers (no pickle: an untrusted cache dir can fail to load but
-    never execute code); corrupt files are quarantined and counted as
-    ``disk_corrupt``, distinct from honest ``disk_misses``.  Concurrent
-    processes sharing one store coordinate through per-entry advisory
-    build locks, so each kernel is compiled once.
+    lowering pipeline entirely.  Entries are checksummed containers
+    of a JSON manifest and one array section (no pickle: an untrusted
+    cache dir can fail to load but never execute code); corrupt files
+    are quarantined and counted as ``disk_corrupt``, distinct from
+    honest ``disk_misses`` and from ``disk_stale`` (a valid entry of
+    another store version).  Concurrent processes sharing one store
+    coordinate through per-entry advisory build locks, so each kernel
+    is compiled once.
     """
 
     def __init__(self, maxsize: int = 256,
@@ -305,7 +309,8 @@ class KernelCache:
         with self._lock:
             store = self._stores.get(directory)
             if store is None:
-                store = self._stores[directory] = KernelStore(directory)
+                store = self._stores[directory] = KernelStore(
+                    directory, version=KERNEL_STORE_VERSION)
             return store
 
     @staticmethod
@@ -338,21 +343,16 @@ class KernelCache:
                    count: bool = True) -> Optional["CompiledKernel"]:
         """Load + reconstruct one stored kernel, or ``None``.
 
-        Container/codec failures are already quarantined by the store;
-        a checksum-valid payload that fails *semantic* reconstruction
-        (wrong version field, unparsable IR) is quarantined here for
-        the same reason — the next compile republishes it.
+        Container/codec failures are already quarantined by the store,
+        and a payload of another store version loads as ``"stale"``; a
+        checksum-valid payload that fails *semantic* reconstruction
+        (unparsable IR) is quarantined here for the same reason — the
+        next compile republishes it.
         """
         status, payload = store.load(name, count=count)
         if status != "hit":
             if count:
                 self._count_disk(status)
-            return None
-        if not isinstance(payload, dict) \
-                or payload.get("store_version") != KERNEL_STORE_VERSION:
-            store.quarantine(name)
-            if count:
-                self._count_disk("stale")
             return None
         try:
             module = parse_module(payload["ir"], verify=False)

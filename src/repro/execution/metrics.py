@@ -1019,15 +1019,11 @@ def _output_winners(ex):
             )
     used_words = output_used // 4
 
-    refs = trace.recv_refs
     widths = (trace.recv_bytes // 4).astype(np.int64)
 
     def fill_starts(starts, lo, hi):
-        span = hi - lo
-        cls = np.fromiter((refs[i][0] for i in range(lo, hi)),
-                          dtype=np.int64, count=span)
-        idx = np.fromiter((refs[i][1] for i in range(lo, hi)),
-                          dtype=np.int64, count=span)
+        cls = trace.recv_class[lo:hi]
+        idx = trace.recv_index[lo:hi]
         for class_id in np.unique(cls):
             sel = cls == class_id
             starts[lo:hi][sel] = (trace.recv_classes[class_id]

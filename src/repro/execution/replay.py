@@ -350,18 +350,8 @@ class ReplayExecutor:
                 self._recv_buffers[class_id] = np.empty(
                     (n, tile_class.num_elements()), dtype=accel_dtype
                 )
-        if getattr(plan, "_push_class", None) is None:
-            n_recvs = len(trace.recv_refs)
-            plan._push_class = np.fromiter(
-                (c for c, _ in trace.recv_refs), dtype=np.int64,
-                count=n_recvs,
-            )
-            plan._push_row = np.fromiter(
-                (i for _, i in trace.recv_refs), dtype=np.int64,
-                count=n_recvs,
-            )
-        self._push_class = plan._push_class
-        self._push_row = plan._push_row
+        self._push_class = trace.recv_class
+        self._push_row = trace.recv_index
         push_data = _PushRows(self._recv_buffers, self._push_class,
                               self._push_row)
         comp_a = np.asarray(plan.compute_a, dtype=np.int64)
@@ -579,9 +569,9 @@ class ReplayExecutor:
                 classes_per_arg.get(tile_class.arg, 0) + 1
         sequential_args = {arg for arg, count in classes_per_arg.items()
                            if count > 1}
-        for ordinal, (class_id, index) in enumerate(
-            trace.recv_refs if sequential_args else ()
-        ):
+        refs = zip(trace.recv_class.tolist(), trace.recv_index.tolist()) \
+            if sequential_args else ()
+        for ordinal, (class_id, index) in enumerate(refs):
             tile_class = trace.recv_classes[class_id]
             if tile_class.arg not in sequential_args:
                 continue

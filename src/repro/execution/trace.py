@@ -53,8 +53,10 @@ TRACE_KILL_SWITCH = "REPRO_NO_TRACE"
 #: _TileClass, or DecodedPlan change shape so stale persisted traces
 #: are evicted (the kernel entry itself still loads) instead of being
 #: replayed with mismatched tables.  (v2: the staged-item stream became
-#: four parallel numpy arrays instead of a list of tuples.)
-TRACE_SCHEMA_VERSION = 2
+#: four parallel numpy arrays instead of a list of tuples.  v3: the
+#: per-recv and per-flush lists became int64 columns — ``recv_class``,
+#: ``recv_index``, ``flush_item_counts`` — and ``recv_sizes`` is gone.)
+TRACE_SCHEMA_VERSION = 3
 
 #: Live views of the diagnostics registry's sections (the schema and
 #: its comments live in :mod:`repro.counters`).
@@ -168,7 +170,6 @@ class DriverTrace:
         self.flush_bytes: np.ndarray = None
         self.recv_pos: np.ndarray = None
         self.recv_bytes: np.ndarray = None
-        self.recv_sizes: List[Tuple[int, ...]] = []  # per recv ordinal
         #: Staged-item stream for the accelerator decoder, as four
         #: parallel arrays: ``staged_is_word`` (1 = scalar word, 0 =
         #: tile), ``staged_values`` (the word value, or the tile's class
@@ -180,9 +181,12 @@ class DriverTrace:
         self.staged_values: np.ndarray = None
         self.staged_indices: np.ndarray = None
         self.staged_widths: np.ndarray = None
-        self.flush_item_counts: List[int] = []
-        #: recv ordinal -> (class_id, index) for push matching.
-        self.recv_refs: List[Tuple[int, int]] = []
+        self.flush_item_counts: np.ndarray = None
+        #: Per recv ordinal: its receive class and its row within that
+        #: class (push matching, output scatter).  A recv's tile sizes
+        #: are ``recv_classes[recv_class[i]].sizes``.
+        self.recv_class: np.ndarray = None
+        self.recv_index: np.ndarray = None
         #: Decoded plans per accelerator signature (lazily built).
         self.decoded: Dict[Tuple, object] = {}
         #: Cached MetricsPlans per runtime-config/state fingerprint
@@ -357,6 +361,9 @@ def _compile_events(recorder: TraceRecorder, arg_specs) -> DriverTrace:
     staged_v: List[int] = []     # word value / tile class id
     staged_i: List[int] = []     # tile ordinal within its class
     staged_n: List[int] = []     # 32-bit words per item
+    flush_items: List[int] = []  # staged items visible at each flush
+    recv_class: List[int] = []   # per recv ordinal: class id
+    recv_index: List[int] = []   # per recv ordinal: row in its class
 
     for event in recorder.events:
         tag = event[0]
@@ -406,7 +413,7 @@ def _compile_events(recorder: TraceRecorder, arg_specs) -> DriverTrace:
             flush_pos.append(len(kinds))
             flush_bytes.append(offset)
             kinds.append(K_FLUSH)
-            trace.flush_item_counts.append(len(staged_w))
+            flush_items.append(len(staged_w))
         elif tag == "recv":
             _, arg, start, sizes, strides, offset, accumulate = event
             key = (arg, sizes, strides, accumulate)
@@ -429,8 +436,8 @@ def _compile_events(recorder: TraceRecorder, arg_specs) -> DriverTrace:
             tile_class.region_offsets.append(offset)
             tile_class.event_pos.append(len(kinds))
             tile_class.order.append(recv_ordinal)
-            trace.recv_refs.append((class_id, index))
-            trace.recv_sizes.append(sizes)
+            recv_class.append(class_id)
+            recv_index.append(index)
             recv_ordinal += 1
             kinds.append(K_COPY)
         elif tag == "init":
@@ -468,6 +475,9 @@ def _compile_events(recorder: TraceRecorder, arg_specs) -> DriverTrace:
     trace.staged_values = np.asarray(staged_v, dtype=np.int64)
     trace.staged_indices = np.asarray(staged_i, dtype=np.int64)
     trace.staged_widths = np.asarray(staged_n, dtype=np.int64)
+    trace.flush_item_counts = np.asarray(flush_items, dtype=np.int64)
+    trace.recv_class = np.asarray(recv_class, dtype=np.int64)
+    trace.recv_index = np.asarray(recv_index, dtype=np.int64)
     trace.word_pos = np.asarray(word_pos, dtype=np.int64)
     trace.word_offsets = np.asarray(word_offsets, dtype=np.int64)
     trace.word_values = np.asarray(word_values, dtype=np.int64)
@@ -659,9 +669,7 @@ def _stream_arrays(trace: DriverTrace):
     indices = np.ascontiguousarray(trace.staged_indices)
     cum = np.zeros(trace.num_staged_items + 1, dtype=np.int64)
     np.cumsum(trace.staged_widths, out=cum[1:])
-    limits = np.ascontiguousarray(
-        np.asarray(trace.flush_item_counts, dtype=np.int64)
-    )
+    limits = np.ascontiguousarray(trace.flush_item_counts)
     return is_word, values, indices, cum, limits
 
 
@@ -852,7 +860,8 @@ def _decode_matmul_inner(trace: DriverTrace,
 
     needs_map = refresh_needs()
 
-    for flush_index, item_limit in enumerate(trace.flush_item_counts):
+    for flush_index, item_limit in enumerate(
+            trace.flush_item_counts.tolist()):
         queue.reveal(item_limit)
         cycles = 0.0
         instructions = 0
@@ -919,7 +928,7 @@ def _decode_matmul_inner(trace: DriverTrace,
         raise TraceUnsupported("staged data left unconsumed in the stream")
     if pending:
         raise TraceUnsupported("computes left unreceived at driver exit")
-    _match_pushes_to_recvs(trace, plan)
+    _match_pushes_to_recvs(trace, _as_columns(plan))
     plan.final_config = (tile_m, tile_n, tile_k)
     plan.final_a = a_src
     plan.final_b = b_src
@@ -953,7 +962,8 @@ def _decode_conv_inner(trace: DriverTrace,
     lit_fsize = CONV_LITERALS["cfg_fsize"]
     lit_ic = CONV_LITERALS["cfg_ic"]
 
-    for flush_index, item_limit in enumerate(trace.flush_item_counts):
+    for flush_index, item_limit in enumerate(
+            trace.flush_item_counts.tolist()):
         queue.reveal(item_limit)
         cycles = 0.0
         instructions = 0
@@ -1014,27 +1024,38 @@ def _decode_conv_inner(trace: DriverTrace,
         raise TraceUnsupported("staged data left unconsumed in the stream")
     if pending:
         raise TraceUnsupported("windows left unreceived at driver exit")
-    _match_pushes_to_recvs(trace, plan)
+    _match_pushes_to_recvs(trace, _as_columns(plan))
     plan.final_config = (ic, fhw)
     plan.final_b = filter_src
     return plan
 
 
+def _as_columns(plan: DecodedPlan) -> DecodedPlan:
+    """Give a Python-decoded plan the native decoders' array fields, so
+    consumers and the kernel store see one shape whichever ran."""
+    plan.flush_cycles = np.asarray(plan.flush_cycles, dtype=np.float64)
+    for name in ("flush_instructions", "compute_a", "compute_b",
+                 "compute_push", "push_counts", "push_flush",
+                 "out_words_per_push"):
+        setattr(plan, name, np.asarray(getattr(plan, name), dtype=np.int64))
+    plan.compute_geom = np.asarray(plan.compute_geom,
+                                   dtype=np.int64).reshape(-1, 3)
+    return plan
+
+
 def _match_pushes_to_recvs(trace: DriverTrace, plan: DecodedPlan) -> None:
     """Receives pop pushed outputs in FIFO order; sizes must line up."""
-    n = len(trace.recv_refs)
+    n = trace.recv_class.size
     if len(plan.out_words_per_push) != n:
         raise TraceUnsupported("push/receive count mismatch")
     if n == 0:
         return
-    class_ids = np.fromiter((c for c, _ in trace.recv_refs),
-                            dtype=np.int64, count=n)
     class_words = np.asarray(
         [tc.num_elements() * tc.itemsize // 4
          for tc in trace.recv_classes], dtype=np.int64,
     )
     out_words = np.asarray(plan.out_words_per_push, dtype=np.int64)
-    if (out_words != class_words[class_ids]).any():
+    if (out_words != class_words[trace.recv_class]).any():
         raise TraceUnsupported("push/receive size mismatch")
     # FIFO discipline: each push must precede its receive in time.
     push_flush = np.asarray(plan.push_flush, dtype=np.int64)

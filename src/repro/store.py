@@ -23,17 +23,21 @@ is removed in a ``finally`` on error paths and swept by ``gc()``.
 **Entry container.**  Each ``.entry`` file is::
 
     REPRO-KSTORE-1\\n
-    <sha256 hex of manifest+arrays>\\n
+    <sha256 hex of manifest+array section>\\n
     <manifest byte length>\\n
-    <JSON manifest><npz archive>
+    <JSON manifest><array section>
 
-The manifest is JSON (a whitelisted tagged encoding of the payload —
-see the codec below); bulk numeric data rides in an appended
-``numpy`` ``.npz`` archive loaded with ``allow_pickle=False``.  There
-is **no pickle anywhere in the load path**, so an untrusted cache
-directory can at worst fail to load — it can never execute code.  Any
-container violation (bad magic, short file, checksum mismatch,
-malformed JSON/npz, non-whitelisted tag) *quarantines* the file into
+The manifest is JSON: a whitelisted tagged encoding of the payload
+(see the codec below) plus one array table, ``name -> [dtype, shape,
+offset, nbytes]``.  Every ndarray of the payload lives in the array
+section — the raw bytes of all arrays, each at its table offset,
+compressed as one zlib stream — so the tagged tree holds only scalars,
+small containers and ``["nd", name]`` references, and a load is one
+JSON parse plus one decompression.  There is **no pickle anywhere in
+the load path**, so an untrusted cache directory can at worst fail to
+load — it can never execute code.  Any container violation (bad magic,
+short file, checksum mismatch, malformed JSON, a bad array table or
+section, non-whitelisted tag or dtype) *quarantines* the file into
 ``corrupt/`` and reports status ``"corrupt"``, which callers count
 separately from an honest miss.
 
@@ -54,11 +58,12 @@ temporaries.  It runs opportunistically after each publish.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
+import math
 import os
 import threading
 import time
+import zlib
 from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
@@ -106,7 +111,7 @@ class UnencodablePayload(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Codec: whitelisted tagged JSON + npz side table
+# Codec: whitelisted tagged JSON + one array section
 # ---------------------------------------------------------------------------
 #
 # JSON scalars (None/bool/int/float/str) encode as themselves; every
@@ -118,13 +123,32 @@ class UnencodablePayload(ValueError):
 #   ["s", [...]]            set (sorted for determinism)
 #   ["d", [[k, v], ...]]    dict
 #   ["od", [[k, v], ...]]   OrderedDict
-#   ["nd", "a3"]            ndarray, stored as npz member "a3"
+#   ["nd", "a3"]            ndarray "a3" of the array table
 #   ["o", cls, [[f, v]..]]  whitelisted object, rebuilt field-by-field
 #   ["flow", "..."]         OpcodeFlow, via its textual form
 #
 # Objects are reconstructed with ``object.__new__`` + ``setattr`` over
 # an explicit per-class field list — no constructors run on untrusted
 # data and nothing outside the registry can ever be instantiated.
+#
+# Arrays: the table maps each name to ``[dtype.str, shape, offset,
+# nbytes]`` in the decompressed section.  Only the dtypes below are
+# written or read; extents start on ``_ALIGN`` boundaries, and a load
+# checks every extent (inside the section, disjoint, aligned for its
+# dtype, size matching the shape) before it hands out writable views
+# of one buffer — views the native decoders read through pointers.
+
+#: Array dtypes the codec accepts, by ``dtype.str``: bool and the
+#: fixed-width integers and floats, in native byte order.
+_ARRAY_DTYPES = frozenset(np.dtype(kind).str for kind in (
+    np.bool_, np.int8, np.int16, np.int32, np.int64,
+    np.uint8, np.uint16, np.uint32, np.uint64,
+    np.float16, np.float32, np.float64,
+))
+
+#: Byte alignment of every extent in the array section.
+_ALIGN = 16
+
 
 def _class_registry() -> Dict[str, Tuple[type, Optional[Tuple[str, ...]]]]:
     """Tag -> (class, field whitelist).  ``None`` fields = instance dict.
@@ -172,13 +196,10 @@ def _class_registry() -> Dict[str, Tuple[type, Optional[Tuple[str, ...]]]]:
 #: drop cached TraceUnsupported sentinels (cheap to rediscover).
 _TRACE_SKIP = ("metrics_plans",)
 
-#: DecodedPlan attributes lazily attached by the replay executor.
-_PLAN_SKIP = ("_push_class", "_push_row")
-
 
 class _Encoder:
     def __init__(self) -> None:
-        self.arrays: Dict[str, np.ndarray] = {}
+        self.arrays: List[np.ndarray] = []
         self._registry = _class_registry()
         self._tag_of = {cls: tag for tag, (cls, _) in
                         self._registry.items()}
@@ -194,11 +215,12 @@ class _Encoder:
         if isinstance(value, np.floating):
             return float(value)
         if isinstance(value, np.ndarray):
-            if value.dtype == object:
-                raise UnencodablePayload("object-dtype ndarray")
-            name = f"a{len(self.arrays)}"
-            self.arrays[name] = value
-            return ["nd", name]
+            if value.dtype.str not in _ARRAY_DTYPES:
+                raise UnencodablePayload(
+                    f"ndarray of dtype {value.dtype.str!r}"
+                )
+            self.arrays.append(value)
+            return ["nd", f"a{len(self.arrays) - 1}"]
         if isinstance(value, list):
             return ["l", [self.encode(v) for v in value]]
         if isinstance(value, tuple):
@@ -238,8 +260,6 @@ class _Encoder:
                 if name == "decoded":
                     field = {k: v for k, v in field.items()
                              if not isinstance(v, TraceUnsupported)}
-            if tag == "DecodedPlan" and name in _PLAN_SKIP:
-                continue
             items.append([name, self.encode(field)])
         return items
 
@@ -314,7 +334,7 @@ class _Decoder:
 
 
 def encode_payload(payload: Any) -> Tuple[bytes, bytes]:
-    """Payload -> (manifest JSON bytes, npz bytes).
+    """Payload -> (manifest JSON bytes, compressed array section).
 
     Raises :class:`UnencodablePayload` when the payload reaches outside
     the codec whitelist (e.g. an object-dtype array); callers keep such
@@ -322,26 +342,83 @@ def encode_payload(payload: Any) -> Tuple[bytes, bytes]:
     """
     encoder = _Encoder()
     tree = encoder.encode(payload)
-    manifest = json.dumps({"format": 1, "payload": tree},
+    table: Dict[str, List[Any]] = {}
+    chunks: List[Any] = []
+    offset = 0
+    for index, array in enumerate(encoder.arrays):
+        pad = -offset % _ALIGN
+        if pad:
+            chunks.append(bytes(pad))
+            offset += pad
+        data = np.ascontiguousarray(array).reshape(-1).view(np.uint8)
+        table[f"a{index}"] = [array.dtype.str, list(array.shape), offset,
+                              data.size]
+        chunks.append(data)
+        offset += data.size
+    manifest = json.dumps({"format": 2, "arrays": table, "payload": tree},
                           separators=(",", ":")).encode()
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **encoder.arrays)
-    return manifest, buffer.getvalue()
+    return manifest, zlib.compress(b"".join(chunks), 1)
 
 
-def decode_payload(manifest: bytes, npz: bytes) -> Any:
+def _decode_arrays(table: Any, section: bytes) -> Dict[str, np.ndarray]:
+    """Validate the array table, then view each array in the section."""
+    if not isinstance(table, dict):
+        raise StoreFormatError("array table is not an object")
+    extents = []
+    for name, spec in table.items():
+        if not isinstance(spec, list) or len(spec) != 4:
+            raise StoreFormatError(f"malformed array entry {name!r}")
+        dtype_str, shape, offset, nbytes = spec
+        if not isinstance(dtype_str, str) \
+                or dtype_str not in _ARRAY_DTYPES:
+            raise StoreFormatError(f"array {name!r}: dtype {dtype_str!r}")
+        if type(offset) is not int or type(nbytes) is not int \
+                or offset < 0 or nbytes < 0:
+            raise StoreFormatError(f"array {name!r}: negative extent")
+        if not isinstance(shape, list) or not all(
+                type(dim) is int and dim >= 0 for dim in shape):
+            raise StoreFormatError(f"array {name!r}: bad shape")
+        dtype = np.dtype(dtype_str)
+        if math.prod(shape) * dtype.itemsize != nbytes:
+            raise StoreFormatError(f"array {name!r}: shape disagrees "
+                                   "with nbytes")
+        if offset % dtype.alignment:
+            raise StoreFormatError(f"array {name!r}: misaligned offset")
+        extents.append((offset, nbytes, name, dtype, shape))
+    extents.sort(key=lambda extent: extent[:2])
+    end = 0
+    for offset, nbytes, name, _, _ in extents:
+        if nbytes and offset < end:
+            raise StoreFormatError(f"array {name!r} overlaps another")
+        end = max(end, offset + nbytes)
+    # Bounded inflate: a section that decompresses past the table's
+    # extent is rejected without materializing the excess.
+    inflater = zlib.decompressobj()
+    try:
+        raw = inflater.decompress(section, end + 1)
+    except zlib.error as exc:
+        raise StoreFormatError(f"bad array section: {exc}") from None
+    if len(raw) < end:
+        raise StoreFormatError("array extent past the section")
+    if len(raw) > end or not inflater.eof or inflater.unused_data:
+        raise StoreFormatError("array section does not match its table")
+    # One writable copy; every array is a view into it.
+    buffer = np.frombuffer(raw, dtype=np.uint8).copy()
+    return {
+        name: buffer[offset:offset + nbytes].view(dtype).reshape(shape)
+        for offset, nbytes, name, dtype, shape in extents
+    }
+
+
+def decode_payload(manifest: bytes, section: bytes) -> Any:
     """Inverse of :func:`encode_payload`; raises StoreFormatError."""
     try:
         document = json.loads(manifest)
     except ValueError as exc:
         raise StoreFormatError(f"bad manifest JSON: {exc}") from None
-    if not isinstance(document, dict) or document.get("format") != 1:
+    if not isinstance(document, dict) or document.get("format") != 2:
         raise StoreFormatError("unknown manifest format")
-    try:
-        with np.load(io.BytesIO(npz), allow_pickle=False) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-    except Exception as exc:
-        raise StoreFormatError(f"bad npz archive: {exc}") from None
+    arrays = _decode_arrays(document.get("arrays"), section)
     try:
         return _Decoder(arrays).decode(document["payload"])
     except StoreFormatError:
@@ -356,11 +433,11 @@ def decode_payload(manifest: bytes, npz: bytes) -> Any:
 # Container framing
 # ---------------------------------------------------------------------------
 
-def pack_entry(manifest: bytes, npz: bytes) -> bytes:
-    digest = hashlib.sha256(manifest + npz).hexdigest()
+def pack_entry(manifest: bytes, section: bytes) -> bytes:
+    digest = hashlib.sha256(manifest + section).hexdigest()
     header = MAGIC + digest.encode() + b"\n" + \
         str(len(manifest)).encode() + b"\n"
-    return header + manifest + npz
+    return header + manifest + section
 
 
 def unpack_entry(blob: bytes) -> Tuple[bytes, bytes]:
@@ -375,11 +452,11 @@ def unpack_entry(blob: bytes) -> Tuple[bytes, bytes]:
         raise StoreFormatError("truncated header") from None
     if manifest_len < 0 or manifest_len > len(rest):
         raise StoreFormatError("truncated entry")
-    manifest, npz = rest[:manifest_len], rest[manifest_len:]
-    actual = hashlib.sha256(manifest + npz).hexdigest().encode()
+    manifest, section = rest[:manifest_len], rest[manifest_len:]
+    actual = hashlib.sha256(manifest + section).hexdigest().encode()
     if actual != digest_line:
         raise StoreFormatError("checksum mismatch")
-    return manifest, npz
+    return manifest, section
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +519,14 @@ class KernelStore:
     """
 
     def __init__(self, root, max_bytes: Optional[int] = None,
-                 lock_timeout_s: Optional[float] = None) -> None:
+                 lock_timeout_s: Optional[float] = None,
+                 version: Optional[int] = None) -> None:
+        """``version``, when given, is the ``store_version`` every
+        loaded payload (a dict) must carry; others load as stale."""
         self.root = Path(root)
         self._max_bytes = max_bytes
         self._lock_timeout_s = lock_timeout_s
+        self._version = version
 
     # -- paths ------------------------------------------------------------
     def objects_dir(self) -> Path:
@@ -479,8 +560,10 @@ class KernelStore:
         Returns ``(status, payload)`` with status one of ``"hit"``
         (payload decoded), ``"miss"`` (honest absence), ``"io"``
         (filesystem error — the entry may exist but is unreadable right
-        now), or ``"corrupt"`` (container/codec violation; the file has
-        been quarantined into ``corrupt/``).  ``count=False`` suppresses
+        now), ``"stale"`` (a valid entry written for another payload
+        version; left in place for the rebuild to overwrite), or
+        ``"corrupt"`` (container/codec violation; the file has been
+        quarantined into ``corrupt/``).  ``count=False`` suppresses
         counter updates for double-checked reads under a build lock.
         """
         path = self.entry_path(name)
@@ -500,13 +583,19 @@ class KernelStore:
         try:
             if injected == "corrupt":
                 raise StoreFormatError("injected store.read corruption")
-            manifest, npz = unpack_entry(blob)
-            payload = decode_payload(manifest, npz)
+            manifest, section = unpack_entry(blob)
+            payload = decode_payload(manifest, section)
         except StoreFormatError:
             self.quarantine(name)
             if count:
                 counters.add("store", "store_corrupt")
             return "corrupt", None
+        if self._version is not None and (
+                not isinstance(payload, dict)
+                or payload.get("store_version") != self._version):
+            if count:
+                counters.add("store", "store_stale")
+            return "stale", None
         if count:
             counters.add("store", "store_hits")
         try:
@@ -543,10 +632,10 @@ class KernelStore:
         entry, no leaked temp file.
         """
         try:
-            manifest, npz = encode_payload(payload)
+            manifest, section = encode_payload(payload)
         except UnencodablePayload:
             return False
-        blob = pack_entry(manifest, npz)
+        blob = pack_entry(manifest, section)
         path = self.entry_path(name)
         tmp = path.parent / (path.name + _next_tmp_suffix())
         try:

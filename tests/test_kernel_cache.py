@@ -376,3 +376,161 @@ class TestDiskKernelStore:
         self._run(kernel)  # persist hook rewrites the entry
         leftovers = [p for p in store.rglob("*") if ".tmp-" in p.name]
         assert leftovers == []
+
+    def test_stale_store_version_counts_stale_not_hit(self, tmp_path):
+        """A checksum-valid entry of another store version is stale: it
+        is neither a hit nor corrupt, and the rebuild overwrites it."""
+        import repro.compiler as compiler_mod
+        from repro import counters
+        from repro.store import STORE_COUNTERS, KernelStore
+
+        store = tmp_path / "repro_cache"
+        writer = KernelCache(disk_dir=str(store))
+        make_compiler(writer).compile_matmul(16, 16, 16)
+        entry = self.entry_files(store)[0]
+        name = entry.name[:-len(".entry")]
+        raw = KernelStore(store)  # no version check: reads any payload
+        status, payload = raw.load(name, count=False)
+        assert status == "hit"
+        payload["store_version"] = compiler_mod.KERNEL_STORE_VERSION - 1
+        assert raw.store(name, payload)
+
+        counters.reset("store")
+        reader = KernelCache(disk_dir=str(store))
+        kernel = make_compiler(reader).compile_matmul(16, 16, 16)
+        assert kernel.source  # rebuilt
+        assert STORE_COUNTERS["store_stale"] == 1
+        assert reader.disk_stale == 1
+        assert STORE_COUNTERS["store_hits"] == 0
+        assert reader.disk_hits == 0 and reader.disk_corrupt == 0
+        assert STORE_COUNTERS["store_quarantined"] == 0
+        # The rebuild republished a current entry over the stale one.
+        third = KernelCache(disk_dir=str(store))
+        make_compiler(third).compile_matmul(16, 16, 16)
+        assert third.disk_hits == 1 and third.disk_stale == 0
+
+
+class TestColumnarStoreEntries:
+    """Stored traces are int64 columns: an entry's manifest holds a
+    fixed number of nodes however many tiles the kernel moves."""
+
+    @staticmethod
+    def _run(kernel, dims, seed=5):
+        m, n, k = dims
+        hw, _ = make_matmul_system(3, 4, flow="Cs")
+        board = make_pynq_z2()
+        board.attach_accelerator(hw)
+        rng = np.random.default_rng(seed)
+        a = rng.integers(-4, 4, (m, k)).astype(np.int32)
+        b = rng.integers(-4, 4, (k, n)).astype(np.int32)
+        c = np.zeros((m, n), np.int32)
+        counts = kernel.run(board, a, b, c)
+        return counts.as_dict(), c.tobytes(), board.clock
+
+    @staticmethod
+    def _manifest_nodes(store) -> int:
+        import json
+        import pathlib
+
+        from repro.store import unpack_entry
+
+        (entry,) = pathlib.Path(store, "objects").glob("*/*.entry")
+        manifest, _ = unpack_entry(entry.read_bytes())
+        pending, nodes = [json.loads(manifest)["payload"]], 0
+        while pending:
+            node = pending.pop()
+            nodes += 1
+            if isinstance(node, list):
+                pending.extend(node)
+        return nodes
+
+    @staticmethod
+    def _arrays(value, seen=None):
+        """Every ndarray reachable from a decoded payload."""
+        seen = set() if seen is None else seen
+        if id(value) in seen:
+            return
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            yield value
+            return
+        if isinstance(value, dict):
+            children = [*value.keys(), *value.values()]
+        elif isinstance(value, (list, tuple, set)):
+            children = list(value)
+        elif hasattr(value, "__dict__") or hasattr(value, "__slots__"):
+            names = list(getattr(value, "__dict__", {})) + \
+                list(getattr(type(value), "__slots__", ()))
+            children = [getattr(value, n) for n in names
+                        if hasattr(value, n)]
+        else:
+            return
+        for child in children:
+            yield from TestColumnarStoreEntries._arrays(child, seen)
+
+    @staticmethod
+    def _compiler(cache):
+        # No CPU tiling: the larger kernel would get an extra loop level,
+        # a different schedule rather than more tiles of the same one.
+        return make_compiler(cache, version=3, size=4, flow="Cs",
+                             enable_cpu_tiling=False)
+
+    def _build(self, store, dims):
+        from repro.execution import TRACE_COUNTERS
+
+        before = TRACE_COUNTERS["synthesized"]
+        cache = KernelCache(disk_dir=str(store))
+        kernel = self._compiler(cache).compile_matmul(*dims)
+        result = self._run(kernel, dims)  # persists trace + plans
+        assert TRACE_COUNTERS["synthesized"] == before + 1
+        trace = kernel.trace_state.trace
+        assert trace.metrics_plans
+        return kernel, result
+
+    def test_round_trip_bit_identical_and_manifest_size_flat(self,
+                                                             tmp_path):
+        from repro.store import KernelStore
+
+        dims = (128, 128, 8)
+        store = tmp_path / "small"
+        kernel, fresh = self._build(store, dims)
+        trace = kernel.trace_state.trace
+        assert trace.recv_class.size > 1000
+        assert trace.recv_class.dtype == np.int64
+        assert trace.flush_item_counts.dtype == np.int64
+
+        reader = KernelCache(disk_dir=str(store))
+        loaded = self._compiler(reader).compile_matmul(*dims)
+        assert reader.disk_hits == 1
+        assert loaded.trace_state.trace.metrics_plans
+        assert self._run(loaded, dims) == fresh
+
+        (entry,) = (store / "objects").glob("*/*.entry")
+        status, payload = KernelStore(store).load(entry.stem, count=False)
+        assert status == "hit"
+        arrays = list(self._arrays(payload))
+        assert len(arrays) > 10
+        assert all(array.flags.writeable for array in arrays)
+
+        big = tmp_path / "big"
+        big_kernel, _ = self._build(big, (256, 256, 8))
+        assert big_kernel.trace_state.trace.recv_class.size \
+            == 4 * trace.recv_class.size
+        assert self._manifest_nodes(big) == self._manifest_nodes(store)
+
+
+def test_ci_cache_key_tracks_store_versions():
+    """CI's actions/cache key names the store and trace versions, so a
+    version bump never restores a cache of dead entries."""
+    import pathlib
+    import re
+
+    from repro.compiler import KERNEL_STORE_VERSION, TRACE_SCHEMA_VERSION
+
+    ci = pathlib.Path(__file__).resolve().parent.parent \
+        / ".github" / "workflows" / "ci.yml"
+    keys = re.findall(r"repro-cache-.*", ci.read_text())
+    assert len(keys) >= 2  # the key and its restore-keys prefix
+    token = f"-store{KERNEL_STORE_VERSION}-schema{TRACE_SCHEMA_VERSION}-"
+    for key in keys:
+        assert token in key, key

@@ -15,6 +15,7 @@ import sys
 import threading
 import time
 import warnings
+import zlib
 from collections import OrderedDict
 from pathlib import Path
 
@@ -51,8 +52,8 @@ def _clean_fault_env(monkeypatch):
 
 class TestCodec:
     def round_trip(self, value):
-        manifest, npz = encode_payload(value)
-        return decode_payload(manifest, npz)
+        manifest, section = encode_payload(value)
+        return decode_payload(manifest, section)
 
     def test_scalars_and_containers(self):
         value = {
@@ -100,19 +101,127 @@ class TestCodec:
             encode_payload({"plan": Sneaky()})
 
     def test_non_whitelisted_tag_rejected_on_load(self):
-        manifest, npz = encode_payload({"x": 1})
-        hostile = manifest.replace(b'{"format":1', b'{"format":1', 1)
-        document = json.loads(hostile)
+        manifest, section = encode_payload({"x": 1})
+        document = json.loads(manifest)
         document["payload"] = ["o", "os.system", [["cmd", "true"]]]
         with pytest.raises(StoreFormatError):
-            decode_payload(json.dumps(document).encode(), npz)
+            decode_payload(json.dumps(document).encode(), section)
+
+    @pytest.mark.parametrize("dtype", [
+        np.dtype([("a", "<i4"), ("b", "<f8")]),  # structured
+        np.dtype("V8"),                          # void
+        np.dtype("<U3"),                         # unicode
+        np.dtype(">i8"),                         # byte-swapped
+        np.dtype("complex128"),
+    ])
+    def test_non_whitelisted_dtypes_refused(self, dtype):
+        with pytest.raises(UnencodablePayload):
+            encode_payload(np.zeros(2, dtype=dtype))
+
+    def test_decoded_arrays_are_writable_aligned_views(self):
+        result = self.round_trip([np.arange(5, dtype=np.int8),
+                                  np.arange(6.0).reshape(2, 3),
+                                  np.asfortranarray(np.eye(3, dtype=int))])
+        for array in result:
+            assert array.flags.writeable and array.flags.aligned
+            array[...] = 0
+        assert result[2].tolist() == [[0] * 3] * 3
+
+
+# -- hostile array tables ---------------------------------------------------
+
+def _hostile(mutate):
+    """(manifest, section) of a two-array payload after ``mutate``
+    rewrote its decoded manifest document in place."""
+    manifest, section = encode_payload(
+        {"a": np.arange(7, dtype=np.int64), "b": np.ones(4, np.float32)})
+    document = json.loads(manifest)
+    mutate(document)
+    return json.dumps(document).encode(), section
+
+
+def _set(name, field, value):
+    index = {"dtype": 0, "shape": 1, "offset": 2, "nbytes": 3}[field]
+
+    def mutate(document):
+        document["arrays"][name][index] = value
+    return mutate
+
+
+def _both(*mutations):
+    def mutate(document):
+        for step in mutations:
+            step(document)
+    return mutate
+
+
+#: case -> (manifest mutation, the error it must raise).  The payload's
+#: arrays sit at [0, 56) ("a0", 7 x int64) and [64, 80) ("a1").
+_HOSTILE_TABLES = {
+    "offset_past_body": (_set("a1", "offset", 4096), "past the section"),
+    "nbytes_past_body": (_both(_set("a1", "shape", [64]),
+                               _set("a1", "nbytes", 256)),
+                         "past the section"),
+    "negative_offset": (_set("a0", "offset", -16), "negative extent"),
+    "negative_nbytes": (_set("a0", "nbytes", -8), "negative extent"),
+    "overlap": (_set("a0", "offset", 24), "overlaps"),
+    "misaligned_offset": (_set("a1", "offset", 62), "misaligned"),
+    "shape_disagrees_with_nbytes": (_set("a0", "shape", [3]),
+                                    "disagrees with nbytes"),
+    "negative_dim": (_set("a0", "shape", [-7]), "bad shape"),
+    "object_dtype": (_set("a0", "dtype", "|O"), "dtype"),
+    "void_dtype": (_set("a0", "dtype", "|V8"), "dtype"),
+    "structured_dtype": (_set("a0", "dtype", [["f", "<i8"]]), "dtype"),
+    "missing_array_name": (
+        lambda doc: doc["payload"][1][0].__setitem__(1, ["nd", "a9"]),
+        "missing array"),
+    "table_not_an_object": (lambda doc: doc.__setitem__("arrays", [1]),
+                            "array table"),
+    "short_table_entry": (
+        lambda doc: doc["arrays"].__setitem__("a0", ["<i8", [7]]),
+        "malformed array entry"),
+}
+
+
+class TestHostileArrayTable:
+    @pytest.mark.parametrize("case", sorted(_HOSTILE_TABLES))
+    def test_decode_raises(self, case):
+        mutate, match = _HOSTILE_TABLES[case]
+        manifest, section = _hostile(mutate)
+        with pytest.raises(StoreFormatError, match=match):
+            decode_payload(manifest, section)
+
+    @pytest.mark.parametrize("case", sorted(_HOSTILE_TABLES))
+    def test_load_quarantines(self, case, tmp_path):
+        store = KernelStore(tmp_path)
+        path = store.entry_path("entry")
+        path.parent.mkdir(parents=True)
+        path.write_bytes(pack_entry(*_hostile(_HOSTILE_TABLES[case][0])))
+        assert store.load("entry") == ("corrupt", None)
+        assert not path.exists()
+        assert STORE_COUNTERS["store_corrupt"] == 1
+        assert STORE_COUNTERS["store_quarantined"] == 1
+
+    # The table below describes exactly 56 section bytes.
+    @pytest.mark.parametrize("section", [
+        b"not zlib at all",
+        zlib.compress(bytes(56))[:-4],
+        zlib.compress(bytes(48)),
+        zlib.compress(bytes(4096)),
+        zlib.compress(bytes(56)) + b"trailing",
+    ], ids=["not_zlib", "truncated", "shorter_than_table",
+            "longer_than_table", "junk_after_stream"])
+    def test_bad_section_raises(self, section):
+        manifest, _ = encode_payload({"a": np.arange(7, dtype=np.int64)})
+        with pytest.raises(StoreFormatError):
+            decode_payload(manifest, section)
 
 
 class TestContainer:
     def test_pack_unpack(self):
-        manifest, npz = encode_payload({"k": np.arange(3)})
-        blob = pack_entry(manifest, npz)
-        assert unpack_entry(blob) == (manifest, npz)
+        manifest, section = encode_payload({"k": np.arange(3)})
+        blob = pack_entry(manifest, section)
+        assert unpack_entry(blob) == (manifest, section)
 
     @pytest.mark.parametrize("mutate", [
         lambda blob: b"JUNK" + blob[4:],            # bad magic
@@ -122,8 +231,8 @@ class TestContainer:
         lambda blob: b"",                            # empty file
     ])
     def test_any_mutation_fails_checksum(self, mutate):
-        manifest, npz = encode_payload({"k": np.arange(3)})
-        blob = mutate(pack_entry(manifest, npz))
+        manifest, section = encode_payload({"k": np.arange(3)})
+        blob = mutate(pack_entry(manifest, section))
         with pytest.raises(StoreFormatError):
             unpack_entry(blob)
 
