@@ -13,9 +13,8 @@ side's median and quartiles and how many pairs the change won::
 A pair is won on a metric when the change's run is better on it than
 the base run (lower, for every end-to-end metric).  The base revision
 is checked out into a temporary ``git worktree`` that is removed when
-the script ends, however it ends (``--base-dir`` uses an existing
-checkout instead).  Finally one record from each side — the run whose
-``wall_s`` is closest to that side's median — goes to
+the script ends, however it ends.  Finally one record from each side
+— the run whose ``wall_s`` is closest to that side's median — goes to
 ``perfbench/run.py --compare``.  Exit status: 0 when every run
 succeeded and reported ``correct``, 1 otherwise.
 """
@@ -87,9 +86,6 @@ def main(argv=None) -> int:
         description="Paired perfbench runs: base revision vs this tree.")
     parser.add_argument("--base", required=True,
                         help="git revision to compare against")
-    parser.add_argument("--base-dir", type=Path, default=None,
-                        help="use this checkout of the base instead of "
-                             "a temporary worktree")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
@@ -98,13 +94,10 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     scratch = Path(tempfile.mkdtemp(prefix="repro-ab-"))
-    base_tree = args.base_dir
-    made_worktree = base_tree is None
+    base_tree = scratch / "base"
     results: Dict[str, List[Dict[str, float]]] = {"base": [], "change": []}
     try:
-        if made_worktree:
-            base_tree = scratch / "base"
-            add_worktree(args.base, base_tree)
+        add_worktree(args.base, base_tree)
         trees = {"base": base_tree, "change": ROOT}
         for pair in range(args.pairs):
             order = ("base", "change") if pair % 2 == 0 \
@@ -122,8 +115,7 @@ def main(argv=None) -> int:
         print(f"ab: {exc}", file=sys.stderr)
         return 1
     finally:
-        if made_worktree and base_tree is not None:
-            remove_worktree(base_tree)
+        remove_worktree(base_tree)
         shutil.rmtree(scratch, ignore_errors=True)
     return 0
 

@@ -354,11 +354,11 @@ class ReplayExecutor:
         self._push_row = trace.recv_index
         push_data = _PushRows(self._recv_buffers, self._push_class,
                               self._push_row)
-        comp_a = np.asarray(plan.compute_a, dtype=np.int64)
-        comp_b = np.asarray(plan.compute_b, dtype=np.int64)
-        geom = np.asarray(plan.compute_geom, dtype=np.int64)
-        push_of = np.asarray(plan.compute_push, dtype=np.int64)
-        self._push_counts = np.asarray(plan.push_counts, dtype=np.int64)
+        comp_a = plan.compute_a
+        comp_b = plan.compute_b
+        geom = plan.compute_geom
+        push_of = plan.compute_push
+        self._push_counts = plan.push_counts
 
         # Segment the compute sequence into runs of constant
         # (geometry, operand class) — the generated loop nests produce

@@ -1054,10 +1054,8 @@ def _match_pushes_to_recvs(trace: DriverTrace, plan: DecodedPlan) -> None:
         [tc.num_elements() * tc.itemsize // 4
          for tc in trace.recv_classes], dtype=np.int64,
     )
-    out_words = np.asarray(plan.out_words_per_push, dtype=np.int64)
-    if (out_words != class_words[trace.recv_class]).any():
+    if (plan.out_words_per_push != class_words[trace.recv_class]).any():
         raise TraceUnsupported("push/receive size mismatch")
     # FIFO discipline: each push must precede its receive in time.
-    push_flush = np.asarray(plan.push_flush, dtype=np.int64)
-    if (trace.flush_pos[push_flush] > trace.recv_pos).any():
+    if (trace.flush_pos[plan.push_flush] > trace.recv_pos).any():
         raise TraceUnsupported("receive precedes its pushed output")

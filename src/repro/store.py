@@ -418,14 +418,15 @@ def decode_payload(manifest: bytes, section: bytes) -> Any:
         raise StoreFormatError(f"bad manifest JSON: {exc}") from None
     if not isinstance(document, dict) or document.get("format") != 2:
         raise StoreFormatError("unknown manifest format")
-    arrays = _decode_arrays(document.get("arrays"), section)
     try:
+        arrays = _decode_arrays(document.get("arrays"), section)
         return _Decoder(arrays).decode(document["payload"])
     except StoreFormatError:
         raise
     except Exception as exc:
-        # Anything else a hostile manifest provokes (bad flow text,
-        # setattr on slots, ...) is still just a corrupt entry.
+        # Anything else a hostile manifest provokes (a shape numpy
+        # cannot build, an extent past what zlib can address, bad flow
+        # text, setattr on slots, ...) is still just a corrupt entry.
         raise StoreFormatError(f"undecodable payload: {exc}") from None
 
 
@@ -522,7 +523,12 @@ class KernelStore:
                  lock_timeout_s: Optional[float] = None,
                  version: Optional[int] = None) -> None:
         """``version``, when given, is the ``store_version`` every
-        loaded payload (a dict) must carry; others load as stale."""
+        loaded payload (a dict) must carry; others load as stale.
+
+        Callers that hash their version into the entry name (as the
+        kernel cache does) only see a stale load from a forged entry
+        or a name collision: the check is a backstop, not the usual
+        way an old entry is retired."""
         self.root = Path(root)
         self._max_bytes = max_bytes
         self._lock_timeout_s = lock_timeout_s

@@ -169,6 +169,13 @@ _HOSTILE_TABLES = {
     "shape_disagrees_with_nbytes": (_set("a0", "shape", [3]),
                                     "disagrees with nbytes"),
     "negative_dim": (_set("a0", "shape", [-7]), "bad shape"),
+    # Consistent tables that numpy or zlib still refuse to build.
+    "too_many_dims": (_both(_set("a0", "shape", [1] * 65),
+                            _set("a0", "nbytes", 8)), "undecodable"),
+    "huge_zero_dim": (_both(_set("a0", "shape", [0, 2 ** 70]),
+                            _set("a0", "nbytes", 0)), "undecodable"),
+    "huge_extent": (_both(_set("a1", "shape", [2 ** 68]),
+                          _set("a1", "nbytes", 2 ** 70)), "undecodable"),
     "object_dtype": (_set("a0", "dtype", "|O"), "dtype"),
     "void_dtype": (_set("a0", "dtype", "|V8"), "dtype"),
     "structured_dtype": (_set("a0", "dtype", [["f", "<i8"]]), "dtype"),
